@@ -1,8 +1,8 @@
 """E-RECOVERY — checkpoint overhead, resume determinism, failover gain.
 
-Part A drives the calendar kernel from ``bench_engine_speed`` — one
-``schedule_many`` batch of P events per 1 s period — with a
-:class:`~repro.recovery.Checkpointer` armed at a 10-period interval,
+Part A drives a calendar kernel — one ``schedule_many`` batch of P
+events per 1 s period — with a :class:`~repro.recovery.Checkpointer`
+armed at a 10-period interval,
 times every capture *inside* the run (so machine noise hits numerator
 and denominator alike instead of drowning the signal), and **gates the
 events/sec overhead at ≤ 5 %** for every measured P ≥ 512.  The kernel
@@ -13,8 +13,7 @@ fixed pickling cost — that end-to-end overhead is *recorded*
 (percentage and ms per snapshot) but gated only on bit-identity, not
 throughput.
 
-Part B is the resume-determinism matrix: policies × engines × chaos
-scenarios, each run twice — once uninterrupted, once snapshotted
+Part B is the resume-determinism matrix: policies × chaos scenarios, each run twice — once uninterrupted, once snapshotted
 mid-run with :func:`~repro.recovery.take_snapshot` and resumed with
 :func:`~repro.recovery.resume_experiment` — gating **bit-identical**
 decision digests and metrics in every cell.
@@ -67,7 +66,6 @@ MAX_OVERHEAD = 0.05
 
 #: Resume matrix shape (Part B).
 POLICIES = ("predictive", "nonpredictive")
-ENGINES = ("scalar", "vectorized")
 SCENARIOS = (None, "crashes")
 MATRIX_PERIODS = 12
 MATRIX_UNITS = 15.0
@@ -271,7 +269,7 @@ def measure_end_to_end_overhead(estimator, n_periods: int) -> dict:
     }
 
 
-def measure_resume_cell(estimator, policy, engine, scenario) -> dict:
+def measure_resume_cell(estimator, policy, scenario) -> dict:
     """One matrix cell: uninterrupted vs snapshot-at-t-then-resume."""
     from repro.experiments.config import BaselineConfig, ExperimentConfig
     from repro.experiments.runner import build_world, run_experiment
@@ -282,7 +280,6 @@ def measure_resume_cell(estimator, policy, engine, scenario) -> dict:
         pattern="triangular",
         max_workload_units=MATRIX_UNITS,
         baseline=BaselineConfig(n_periods=MATRIX_PERIODS, seed=5),
-        engine=engine,
         chaos_scenario=scenario,
         hardened=scenario is not None,
     )
@@ -292,7 +289,6 @@ def measure_resume_cell(estimator, policy, engine, scenario) -> dict:
     resumed = resume_experiment(take_snapshot(world))
     return {
         "policy": policy,
-        "engine": engine,
         "scenario": scenario,
         "snapshot_at": SNAP_AT,
         "digest_equal": resumed.decision_digest == reference.decision_digest,
@@ -380,9 +376,8 @@ def measure_recovery(
         measure_kernel_overhead(p, kernel_periods, repetitions) for p in sizes
     ]
     matrix = [
-        measure_resume_cell(estimator, policy, engine, scenario)
+        measure_resume_cell(estimator, policy, scenario)
         for policy in POLICIES
-        for engine in ENGINES
         for scenario in matrix_scenarios
     ]
     return {
@@ -431,7 +426,7 @@ def check_report(report: dict) -> list[str]:
         if not cell["digest_equal"] or not cell["metrics_equal"]:
             problems.append(
                 f"resume diverged: policy={cell['policy']} "
-                f"engine={cell['engine']} scenario={cell['scenario']}"
+                f"scenario={cell['scenario']}"
             )
     failover = report["failover"]
     if failover["availability_gain"] <= 0.0:

@@ -51,7 +51,9 @@ Quickstart
 import warnings as _warnings
 
 from repro.api import *  # noqa: F403
+from repro.api import _DEPRECATED_NAMES as _API_DEPRECATED
 from repro.api import __all__ as _api_all
+from repro.api import _deprecated_name
 
 __version__ = "1.1.0"
 
@@ -66,6 +68,8 @@ _DEPRECATED_ALIASES = {
 
 
 def __getattr__(name: str):
+    if name in _API_DEPRECATED:
+        return _deprecated_name(__name__, name)
     target = _DEPRECATED_ALIASES.get(name)
     if target is not None:
         module_name, attr = target

@@ -93,7 +93,7 @@ class LayeringContract:
     streams: tuple[str, ...] = ()
     #: Type names that must never enter a process-pool payload.
     unpicklable: frozenset[str] = frozenset()
-    #: Dotted module prefixes holding vectorized/kernel code (VEC-*).
+    #: Dotted module prefixes holding array/kernel code (VEC-*).
     kernel_modules: tuple[str, ...] = ()
     #: Deprecated qualified names internal code must not reference.
     deprecated: frozenset[str] = frozenset()

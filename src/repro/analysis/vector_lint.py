@@ -1,8 +1,8 @@
-"""Vectorized-determinism lint: order and dtype discipline (VEC-*).
+"""Array-determinism lint: order and dtype discipline (VEC-*).
 
-The vectorized engine and the batched forecast kernels are bit-identical
-to their scalar counterparts only because every NumPy operation that
-*orders* or *accumulates* floats is pinned: stable sorts, total-order
+The batched forecast kernels and sharded campaigns are bit-identical
+to their scalar and serial counterparts only because every NumPy
+operation that *orders* or *accumulates* floats is pinned: stable sorts, total-order
 keys, float64 end to end, and reductions over deterministically-ordered
 collections.  These rules keep that discipline machine-checked inside
 the declared kernel modules (``[vectorization] kernel_modules`` in

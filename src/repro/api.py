@@ -32,6 +32,7 @@ they used to exist, with a DeprecationWarning.
 
 from __future__ import annotations
 
+import warnings
 from pathlib import Path
 from typing import Any
 
@@ -143,7 +144,6 @@ from repro.regression.serialization import (
 )
 from repro.runtime.executor import PeriodicTaskExecutor
 from repro.sim.engine import Engine
-from repro.sim.vector import VectorizedEngine
 from repro.tasks.builder import TaskBuilder
 from repro.tasks.model import PeriodicTask
 from repro.tasks.state import ReplicaAssignment
@@ -288,7 +288,6 @@ __all__ = [
     "TimingEstimator",
     "TrackStreamGenerator",
     "UtilizationIndex",
-    "VectorizedEngine",
     "aaw_task",
     "as_allocator",
     "assign_deadlines",
@@ -340,3 +339,32 @@ __all__ = [
     "validate_reproduction",
     "write_report",
 ]
+
+
+#: Names dropped from ``__all__`` that stay importable for one release
+#: with a DeprecationWarning (PEP 562): ``name -> (replacement, why)``.
+_DEPRECATED_NAMES: dict[str, tuple[str, str]] = {
+    "VectorizedEngine": (
+        "Engine",
+        "the simulator has one event calendar and both took "
+        "bit-identical decisions",
+    ),
+}
+
+
+def _deprecated_name(module: str, name: str) -> Any:
+    """Warn about ``module.name`` and return its replacement."""
+    replacement, why = _DEPRECATED_NAMES[name]
+    warnings.warn(
+        f"{module}.{name} is deprecated; use repro.api.{replacement} "
+        f"({why})",
+        DeprecationWarning,
+        stacklevel=3,
+    )
+    return globals()[replacement]
+
+
+def __getattr__(name: str) -> Any:
+    if name in _DEPRECATED_NAMES:
+        return _deprecated_name(__name__, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

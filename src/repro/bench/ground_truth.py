@@ -75,22 +75,6 @@ class QuadraticServiceModel:
             return base
         return base * float(rng.lognormal(mean=0.0, sigma=self.noise_sigma))
 
-    def demand_many(
-        self, d_tracks: float, n: int, rng: np.random.Generator | None = None
-    ) -> list[float]:
-        """``n`` sampled demands for the same data size, in draw order.
-
-        Bit-identical to ``n`` sequential :meth:`demand` calls — NumPy's
-        sized ``lognormal`` consumes the generator stream exactly as the
-        same number of scalar draws would — so batched submission paths
-        can use it without perturbing any downstream randomness.
-        """
-        base = self.mean_demand_seconds(d_tracks)
-        if rng is None or self.noise_sigma == 0.0:
-            return [base] * n
-        noise = rng.lognormal(mean=0.0, sigma=self.noise_sigma, size=n)
-        return [base * float(x) for x in noise]
-
 
 def LinearServiceModel(
     q1_ms: float, floor_ms: float = 0.2, noise_sigma: float = 0.0

@@ -365,7 +365,7 @@ class FaultyEstimator:
         ) * self._factor()
 
     def eex_seconds_many(self, subtask_index, d_tracks, utilizations):
-        """Biased vectorized execution estimates."""
+        """Biased batched execution estimates."""
         return self._inner.eex_seconds_many(
             subtask_index, d_tracks, utilizations
         ) * self._factor()

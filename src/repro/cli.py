@@ -53,11 +53,10 @@ Commands
     layering, pickling rules); exit code 1 on violations.
 
 Global options (``--periods``, ``--seed``, ``--nodes``,
-``--network-mode``, ``--jobs``, ``--cache-dir``, ``--engine``,
-``--shards``) precede the subcommand.  ``--engine vectorized`` swaps in
-the array-backed calendar (bit-identical decisions); ``--shards N``
-splits a campaign round-robin across ``N`` worker processes.  Every
-command is importable and testable via :func:`main(argv)`.
+``--network-mode``, ``--jobs``, ``--cache-dir``, ``--shards``)
+precede the subcommand.  ``--shards N`` splits a campaign round-robin
+across ``N`` worker processes.  Every command is importable and
+testable via :func:`main(argv)`.
 """
 
 from __future__ import annotations
@@ -104,10 +103,6 @@ def _cache_dir_from_args(args: argparse.Namespace):
     return getattr(args, "cache_dir", None)
 
 
-def _engine_from_args(args: argparse.Namespace) -> str:
-    return getattr(args, "engine", None) or "scalar"
-
-
 def _shards_from_args(args: argparse.Namespace) -> int:
     shards = getattr(args, "shards", None)
     # 0 = no sharding (dispatch one job per worker task as before).
@@ -142,7 +137,6 @@ def _run_observed(args: argparse.Namespace):
         pattern=args.pattern,
         max_workload_units=args.max_units,
         baseline=baseline,
-        engine=_engine_from_args(args),
         chaos_scenario=getattr(args, "scenario", None),
         hardened=bool(getattr(args, "hardened", False)),
         slo=_slo_rules_from_args(args),
@@ -234,7 +228,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         pattern=args.pattern,
         max_workload_units=args.max_units,
         baseline=baseline,
-        engine=_engine_from_args(args),
         checkpoint=args.checkpoint,
     )
     estimator = get_estimator(baseline, cache_dir=_cache_dir_from_args(args))
@@ -518,7 +511,6 @@ def _cmd_report_health(args: argparse.Namespace) -> int:
         "periods": baseline.n_periods,
         "nodes": baseline.n_nodes,
         "seed": baseline.seed,
-        "engine": config.engine,
         "scenario": config.chaos_scenario or "-",
         "hardened": config.hardened,
     }
@@ -615,7 +607,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         baseline=_baseline_from_args(args),
         scenarios=scenarios,
         hardened=hardened,
-        engine=_engine_from_args(args),
         slo=slo_rules,
     )
     result = run_campaign(
@@ -868,11 +859,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-dir",
         help="directory for the disk-backed estimator cache "
         "(fits are reused across processes and invocations)",
-    )
-    parser.add_argument(
-        "--engine", choices=("scalar", "vectorized"),
-        help="simulation core: the classic per-event heap or the "
-        "array-backed calendar (bit-identical decisions, faster at scale)",
     )
     parser.add_argument(
         "--shards", type=int,

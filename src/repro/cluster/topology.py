@@ -17,7 +17,6 @@ from repro.errors import ClusterError
 from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import Tracer
-from repro.sim.vector import VectorizedEngine
 from repro.telemetry.hub import TelemetryHub
 from repro.units import ETHERNET_100_MBPS, MS
 
@@ -195,7 +194,6 @@ def build_system(
     tracer: Tracer | None = None,
     telemetry: TelemetryHub | None = None,
     use_utilization_index: bool = True,
-    engine: str = "scalar",
 ) -> System:
     """Construct the Table 1 baseline system (or a variant of it).
 
@@ -205,11 +203,7 @@ def build_system(
     processor) builds a heterogeneous machine for the extension study;
     omitted, all nodes run at the reference speed 1.0.  ``telemetry``
     wires a :class:`~repro.telemetry.hub.TelemetryHub` into the engine so
-    every instrumented component reports to it.  ``engine`` selects the
-    calendar implementation: ``"scalar"`` (the binary-heap
-    :class:`~repro.sim.engine.Engine`) or ``"vectorized"`` (the
-    array-backed :class:`~repro.sim.vector.VectorizedEngine`; decision
-    sequences are bit-identical either way).
+    every instrumented component reports to it.
     """
     if n_processors < 1:
         raise ClusterError(f"need at least one processor, got {n_processors}")
@@ -218,12 +212,7 @@ def build_system(
             f"{n_processors} processors need {n_processors} speed factors, "
             f"got {len(speed_factors)}"
         )
-    if engine not in ("scalar", "vectorized"):
-        raise ClusterError(
-            f"engine must be 'scalar' or 'vectorized', got {engine!r}"
-        )
-    engine_cls = Engine if engine == "scalar" else VectorizedEngine
-    sim_engine = engine_cls(tracer=tracer, telemetry=telemetry)
+    sim_engine = Engine(tracer=tracer, telemetry=telemetry)
     rng = RngRegistry(seed)
     processors = [
         Processor(

@@ -286,11 +286,9 @@ class AdaptiveResourceManager:
     def start(self, n_periods: int, first_release: float = 0.0) -> None:
         """Schedule one RM step per period boundary (before the release).
 
-        One batched insert: :meth:`~repro.sim.engine.Engine.schedule_many`
-        consumes sequence numbers in input order, so this is
-        observationally identical to the per-period ``schedule_at`` loop
-        it replaces while letting an array-backed calendar sort the
-        whole run's steps once.
+        :meth:`~repro.sim.engine.Engine.schedule_many` consumes sequence
+        numbers in input order, so this is observationally identical to
+        a per-period ``schedule_at`` loop.
         """
         self._step_events = self.system.engine.schedule_many(
             [first_release + c * self.task.period for c in range(n_periods)],

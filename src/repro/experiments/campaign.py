@@ -18,7 +18,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable
 
 from repro.errors import ConfigurationError
 from repro.experiments.config import (
@@ -46,10 +46,6 @@ class CampaignSpec:
     fault-free) and per hardening setting.  The defaults keep both axes
     trivial, so pre-chaos campaigns enumerate — and tag — identically.
 
-    ``engine`` selects the simulation core for every run in the grid
-    (``"scalar"`` or ``"vectorized"``); both produce bit-identical
-    decision sequences, so it is a speed knob, not a grid axis.
-
     ``slo`` arms every cell with the given
     :class:`~repro.telemetry.slo.SloRule` tuple; each row then carries
     its SLO verdict and the campaign rollup aggregates pass/fail counts.
@@ -63,7 +59,6 @@ class CampaignSpec:
     repetitions: int = 2
     scenarios: tuple[str | None, ...] = (None,)
     hardened: tuple[bool, ...] = (False,)
-    engine: str = "scalar"
     slo: "tuple[SloRule, ...] | None" = None
 
     def __post_init__(self) -> None:
@@ -73,10 +68,6 @@ class CampaignSpec:
             raise ConfigurationError("campaign axes must be non-empty")
         if self.n_seeds < 1:
             raise ConfigurationError(f"n_seeds must be >= 1, got {self.n_seeds}")
-        if self.engine not in ("scalar", "vectorized"):
-            raise ConfigurationError(
-                f"engine must be 'scalar' or 'vectorized', got {self.engine!r}"
-            )
 
     @property
     def n_runs(self) -> int:
@@ -105,7 +96,6 @@ class CampaignSpec:
                                 baseline=self.baseline,
                                 chaos_scenario=scenario,
                                 hardened=hard,
-                                engine=self.engine,
                                 slo=self.slo,
                             )
                             tag = f"{policy}/{pattern}/u{units:g}"

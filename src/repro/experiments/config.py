@@ -174,11 +174,6 @@ class ExperimentConfig:
         :class:`repro.core.hardening.HardeningConfig` defenses (stale
         record aging, placement guard, allocation backoff, forecast
         circuit breaker).
-    engine:
-        Event-calendar implementation: ``"scalar"`` (binary heap) or
-        ``"vectorized"`` (array-backed batched calendar).  Decision
-        sequences are bit-identical either way; vectorized is faster at
-        scale.
     slo:
         Optional tuple of :class:`repro.telemetry.slo.SloRule` to
         evaluate during the run.  ``None`` (the default) runs without
@@ -205,7 +200,6 @@ class ExperimentConfig:
     baseline: BaselineConfig = field(default_factory=BaselineConfig)
     chaos_scenario: str | None = None
     hardened: bool = False
-    engine: str = "scalar"
     slo: tuple[SloRule, ...] | None = None
     checkpoint: float | None = None
     failover: bool = False
@@ -215,10 +209,6 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"max_workload_units must be positive, got "
                 f"{self.max_workload_units}"
-            )
-        if self.engine not in ("scalar", "vectorized"):
-            raise ConfigurationError(
-                f"engine must be 'scalar' or 'vectorized', got {self.engine!r}"
             )
         if self.checkpoint is not None and self.checkpoint <= 0.0:
             raise ConfigurationError(

@@ -188,7 +188,6 @@ def evaluate_forecasts(
         bandwidth_bps=baseline.bandwidth_bps,
         message_overhead_bytes=baseline.message_overhead_bytes,
         seed=baseline.seed,
-        engine=config.engine,
     )
     task = aaw_task(
         period=baseline.period,

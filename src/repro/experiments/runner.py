@@ -190,7 +190,6 @@ def build_world(
         seed=baseline.seed + seed_offset,
         tracer=tracer,
         telemetry=telemetry,
-        engine=config.engine,
     )
     task = aaw_task(
         period=baseline.period,

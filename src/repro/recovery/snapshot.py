@@ -140,12 +140,21 @@ def restore_snapshot(snapshot: SimSnapshot) -> Any:
     The returned world is a fresh object graph: running its engine to
     the original horizon replays the exact continuation the original
     run would have produced (bit-identical decision digest and
-    metrics).
+    metrics).  A payload that no longer unpickles — truncated, or
+    naming a module or class this library no longer has — raises
+    :class:`~repro.errors.ConfigurationError`, as :meth:`SimSnapshot.load`
+    does for unreadable files.
     """
     from repro.cluster import network, processor
 
     _check_schema(snapshot.schema_version)
-    world = pickle.loads(snapshot.payload)
+    try:
+        world = pickle.loads(snapshot.payload)
+    except (pickle.UnpicklingError, EOFError, AttributeError, ImportError) as exc:
+        raise ConfigurationError(
+            f"cannot restore snapshot {snapshot.meta.get('label', '')!r} "
+            f"taken at t={snapshot.time:g}s: {type(exc).__name__}: {exc}"
+        ) from exc
     processor._job_ids.reset(snapshot.counters.get("job_ids", 1))
     network._message_ids.reset(snapshot.counters.get("message_ids", 1))
     return world

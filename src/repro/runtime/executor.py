@@ -34,7 +34,7 @@ from typing import Callable
 import numpy as np
 
 from repro.cluster.network import Message
-from repro.cluster.processor import Discipline, Job, Processor
+from repro.cluster.processor import Job
 from repro.cluster.topology import System
 from repro.errors import ConfigurationError
 from repro.runtime.records import PeriodRecord, StageRecord
@@ -333,8 +333,6 @@ class PeriodicTaskExecutor:
         share = flight.record.d_tracks / len(replicas)
         barrier = _StageBarrier(self, flight, subtask_index, stage, len(replicas))
 
-        if self._submit_stage_batch(flight, subtask_index, replicas, share, barrier):
-            return
         for name in replicas:
             processor = self.system.processor(name)
             demand = subtask.service.demand(share, self.rng)
@@ -345,88 +343,6 @@ class PeriodicTaskExecutor:
                 on_complete=_ReplicaDone(barrier, name),
             )
             flight.jobs.append((name, job))
-
-    def _submit_stage_batch(
-        self,
-        flight: _InFlight,
-        subtask_index: int,
-        replicas: tuple[str, ...] | list[str],
-        share: float,
-        barrier: _StageBarrier,
-    ) -> bool:
-        """Submit the stage's replica jobs as one batched calendar insert.
-
-        Only taken when the engine has an array-backed calendar, the
-        service model exposes batched draws, and every replica processor
-        is a distinct idle live PS processor — the common steady-state
-        shape, where this path is *provably* bit-identical to the scalar
-        loop:
-
-        * ``demand_many`` consumes the noise stream exactly like the same
-          number of scalar draws, and job ids are allocated in the same
-          replica order;
-        * with no resident jobs, ``_ps_arrive`` reduces to ageing the
-          clock, marking the meter busy, registering the job, and
-          scheduling its solo completion at
-          ``now + max(0.0, remaining * 1 / speed)`` — the identical float
-          expression evaluated below (``len(_active)`` is exactly 1);
-        * :meth:`~repro.sim.engine.Engine.schedule_many` assigns sequence
-          numbers consecutively in input order, matching the per-replica
-          ``schedule`` calls of the scalar loop.
-
-        Any other shape (failed node, resident background job, RR
-        discipline, duplicate placement) returns ``False`` and the
-        caller runs the unchanged scalar loop.
-        """
-        engine = self.system.engine
-        if not engine.supports_batch:
-            return False
-        subtask = self.task.subtask(subtask_index)
-        demand_many = getattr(subtask.service, "demand_many", None)
-        if demand_many is None:
-            return False
-        procs: list[Processor] = []
-        seen: set[str] = set()
-        for name in replicas:
-            p = self.system.processor(name)
-            if (
-                p.failed
-                or p.discipline is not Discipline.PROCESSOR_SHARING
-                or p._active
-                or p._completion_event is not None
-                or name in seen
-            ):
-                return False
-            seen.add(name)
-            procs.append(p)
-        now = engine.now
-        demands = demand_many(share, len(procs), self.rng)
-        label = f"{self.task.name}.st{subtask_index}"
-        times: list[float] = []
-        args_list: list[tuple[int]] = []
-        callbacks: list[Callable[[int], None]] = []
-        labels: list[str] = []
-        for name, p, demand in zip(replicas, procs, demands):
-            job = Job(
-                demand,
-                kind="app",
-                label=label,
-                on_complete=_ReplicaDone(barrier, name),
-            )
-            job.arrival_time = now
-            p._ps_age()
-            p.meter.set_busy(now, True)
-            p._active[job.job_id] = job
-            # Bit-identical to _ps_reschedule's delay with one active job.
-            times.append(now + max(0.0, job.remaining * 1 / p.speed))
-            callbacks.append(p._ps_complete)
-            args_list.append((job.job_id,))
-            labels.append(f"{p.name}.ps-done")
-            flight.jobs.append((name, job))
-        events = engine.schedule_many(times, callbacks, args_list, labels=labels)
-        for p, event in zip(procs, events):
-            p._completion_event = event
-        return True
 
     def _stage_finished(self, flight: _InFlight, subtask_index: int) -> None:
         if subtask_index == self.task.n_subtasks:

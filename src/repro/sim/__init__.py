@@ -15,7 +15,6 @@ from repro.sim.engine import Engine
 from repro.sim.events import Event, EventState
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import NullTracer, TraceRecord, Tracer
-from repro.sim.vector import VectorizedEngine
 
 __all__ = [
     "Engine",
@@ -25,5 +24,4 @@ __all__ = [
     "Tracer",
     "NullTracer",
     "TraceRecord",
-    "VectorizedEngine",
 ]

@@ -101,12 +101,6 @@ class Engine:
         loops never touch it, only the post-loop accounting does.
     """
 
-    #: Whether :meth:`schedule_many` lands on an array-backed calendar
-    #: (:class:`repro.sim.vector.VectorizedEngine`).  Components use this
-    #: to pick batched submission paths; on the scalar engine the method
-    #: is just a loop over :meth:`schedule_at`.
-    supports_batch: bool = False
-
     def __init__(
         self,
         tracer: Tracer | None = None,
@@ -194,10 +188,7 @@ class Engine:
         every entry or one value per entry; ``args_list`` supplies the
         positional arguments per entry (default: none).  Sequence
         numbers are consumed consecutively in input order, so the call
-        is observationally identical to a loop over
-        :meth:`schedule_at` — subclasses with an array-backed calendar
-        override this with a vectorized insert that preserves exactly
-        that contract.
+        is observationally identical to a loop over :meth:`schedule_at`.
         """
         n = len(times)
         cbs = callbacks if isinstance(callbacks, (list, tuple)) else [callbacks] * n

@@ -1,9 +1,8 @@
 """Deterministic, enabled-guarded run profiler for instrumented regions.
 
 The simulator's hot paths are instrumented with named *regions* —
-``engine.run`` (scalar dispatch), ``engine.vector`` (vectorized
-calendar), ``rm.step`` / ``rm.monitor`` / ``rm.placement`` (the RM
-decision cycle), ``rm.forecast`` (the Figure 5/6 kernels at their core
+``engine.run`` (event dispatch), ``rm.step`` / ``rm.monitor`` /
+``rm.placement`` (the RM decision cycle), ``rm.forecast`` (the Figure 5/6 kernels at their core
 call sites), and the network/monitor feeds.  When a
 :class:`RunProfiler` is attached to the telemetry hub, each region
 accumulates three things:
@@ -24,7 +23,7 @@ simulation trace in ``ui.perfetto.dev``.
 The profiler follows the hub's cost model: components check a cheap
 ``profiler is not None`` / truthiness guard before calling in, and a
 disabled run executes exactly the same instruction stream as before —
-the engine-equivalence suites pin that.
+the profiler-on/off digest tests pin that.
 """
 
 from __future__ import annotations

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core.allocation import get_policy, registered_policies
 from repro.core.extra_policies import (
     HybridPolicy,

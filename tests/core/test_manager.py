@@ -7,7 +7,6 @@ import pytest
 from repro.bench.app import aaw_task, default_initial_placement
 from repro.cluster.topology import build_system
 from repro.core.manager import AdaptiveResourceManager, RMConfig
-from repro.core.monitoring import MonitorAction
 from repro.core.nonpredictive import NonPredictivePolicy
 from repro.core.predictive import PredictivePolicy
 from repro.errors import ConfigurationError

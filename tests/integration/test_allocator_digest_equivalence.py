@@ -8,11 +8,10 @@ nonpredictive runs take byte-identical decision sequences to the
 pre-redesign per-candidate control loop.
 
 The literal digests below were captured on the last commit **before**
-the redesign (same baseline, pattern, estimator recipe as
-``tests/integration/test_engine_equivalence.py``) and must never drift:
-a mismatch means the adapter or the manager rewire changed a decision.
-Both engines are pinned to the same constants — scalar/vectorized
-equivalence is part of the pin.
+the redesign (same baseline, pattern and estimator recipe as the other
+integration suites) and must never drift: a mismatch means the adapter
+or the manager rewire changed a decision.  They pin the decision
+sequence across the policy × chaos × hardening grid.
 """
 
 from __future__ import annotations
@@ -66,7 +65,7 @@ GOLDEN = {
 }
 
 
-def _run(policy, scenario, hardened, engine, estimator):
+def _run(policy, scenario, hardened, estimator):
     config = ExperimentConfig(
         policy=policy,
         pattern="triangular",
@@ -74,20 +73,30 @@ def _run(policy, scenario, hardened, engine, estimator):
         baseline=BASELINE,
         chaos_scenario=scenario,
         hardened=hardened,
-        engine=engine,
     )
     return run_experiment(config, estimator=estimator)
 
 
-@pytest.mark.parametrize("engine", ["scalar", "vectorized"])
 @pytest.mark.parametrize("scenario,hardened", list(GOLDEN["predictive"]))
 @pytest.mark.parametrize("policy", ["predictive", "nonpredictive"])
 class TestPreRedesignDigestsPinned:
     def test_digest_matches_pre_redesign_capture(
-        self, policy, scenario, hardened, engine, fitted_estimator
+        self, policy, scenario, hardened, fitted_estimator
     ):
-        result = _run(policy, scenario, hardened, engine, fitted_estimator)
+        result = _run(policy, scenario, hardened, fitted_estimator)
         assert result.decision_digest == GOLDEN[policy][(scenario, hardened)]
+
+
+class TestDigestProperties:
+    def test_digest_is_sha256_hex(self, fitted_estimator):
+        result = _run("predictive", None, False, fitted_estimator)
+        assert len(result.decision_digest) == 64
+        int(result.decision_digest, 16)  # hex-parsable
+
+    def test_digest_distinguishes_policies(self, fitted_estimator):
+        a = _run("predictive", None, False, fitted_estimator)
+        b = _run("nonpredictive", None, False, fitted_estimator)
+        assert a.decision_digest != b.decision_digest
 
 
 class TestAdapterIsInPath:

@@ -110,3 +110,29 @@ class TestSaveLoad:
         )
         with pytest.raises(ConfigurationError):
             restore_snapshot(stale)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            # Protocol-0 GLOBAL opcodes naming a deleted module / class.
+            pytest.param(
+                b"crepro.sim.vector\nVectorizedEngine\n.", id="missing-module"
+            ),
+            pytest.param(
+                b"crepro.sim.engine\nNoSuchEngine\n.", id="missing-class"
+            ),
+            pytest.param(
+                pickle.dumps({"world": list(range(64))})[:-9], id="truncated"
+            ),
+        ],
+    )
+    def test_restore_maps_payload_errors(self, payload):
+        snapshot = SimSnapshot(
+            schema_version=SNAPSHOT_SCHEMA_VERSION,
+            time=4.0,
+            payload=payload,
+            meta={"label": "stale"},
+        )
+        with pytest.raises(ConfigurationError, match=r"'stale' taken at t=4s"):
+            restore_snapshot(snapshot)
+

@@ -47,6 +47,19 @@ class TestSnapshot:
         assert set(repro.__all__) == {*repro.api.__all__, "__version__"}
 
 
+class TestVersion:
+    def test_pyproject_takes_the_version_from_the_package(self):
+        import tomllib
+
+        pyproject = tomllib.loads(
+            (Path(__file__).parents[1] / "pyproject.toml").read_text()
+        )
+        assert "version" not in pyproject["project"]
+        assert "version" in pyproject["project"]["dynamic"]
+        dynamic = pyproject["tool"]["setuptools"]["dynamic"]
+        assert dynamic["version"] == {"attr": "repro.__version__"}
+
+
 class TestFitEstimator:
     def test_baseline_and_task_are_exclusive(self):
         from repro.api import BaselineConfig, ConfigurationError, aaw_task
@@ -97,6 +110,13 @@ class TestDeprecatedNames:
     def test_old_names_left_the_facade(self):
         assert "build_estimator" not in repro.api.__all__
         assert "get_default_estimator" not in repro.api.__all__
+
+    @pytest.mark.parametrize("module", [repro, repro.api], ids=["root", "api"])
+    def test_vectorized_engine_is_a_deprecated_engine_alias(self, module):
+        with pytest.warns(DeprecationWarning, match="repro.api.Engine"):
+            alias = module.VectorizedEngine
+        assert alias is repro.api.Engine
+        assert "VectorizedEngine" not in module.__all__
 
     def test_unknown_attribute_still_raises(self):
         with pytest.raises(AttributeError):
