@@ -189,17 +189,9 @@ class ChaosInjector:
 
     def _inject(self, injection: Injection) -> None:
         engine = self.system.engine
-        engine.tracer.record(
-            engine.now,
-            "chaos",
-            f"{injection.kind}.{injection.target}",
-            {"duration_s": injection.duration_s, "value": injection.value},
-        )
         telemetry = engine.telemetry
         if telemetry.enabled:
-            telemetry.on_fault_injected(
-                engine.now, injection.kind, injection.target
-            )
+            telemetry.on_fault_injected(engine.now, injection)
         if injection.kind == "crash":
             self._inject_crash(injection)
         elif injection.kind == "loss_spike":

@@ -233,7 +233,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     estimator = get_estimator(baseline, cache_dir=_cache_dir_from_args(args))
 
     hub = None
-    tracer = None
     telemetry_dir = getattr(args, "telemetry_dir", None)
     if telemetry_dir:
         if args.tasks > 1 or args.seeds > 1:
@@ -245,17 +244,12 @@ def cmd_run(args: argparse.Namespace) -> int:
             )
         from pathlib import Path
 
-        from repro.sim.trace import StreamingTracer
         from repro.telemetry import JsonlTraceSink, TelemetryHub
 
-        sink = JsonlTraceSink(Path(telemetry_dir) / "trace.jsonl")
-        hub = TelemetryHub(sink=sink)
-        tracer = StreamingTracer(sink)
+        hub = TelemetryHub(sink=JsonlTraceSink(Path(telemetry_dir) / "trace.jsonl"))
 
     try:
-        metrics, forecast_report = _run_cmd_run_body(
-            args, config, estimator, tracer, hub
-        )
+        metrics, forecast_report = _run_cmd_run_body(args, config, estimator, hub)
     finally:
         # Close (and so flush) the trace sink even when the run dies
         # mid-flight — the buffered records up to the failure point are
@@ -303,7 +297,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_cmd_run_body(args, config, estimator, tracer, hub):
+def _run_cmd_run_body(args, config, estimator, hub):
     """The run/print phase of ``repro run`` (split out so the caller can
     guarantee the telemetry sink is flushed on any exit path)."""
     from repro.experiments.runner import run_experiment
@@ -352,9 +346,7 @@ def _run_cmd_run_body(args, config, estimator, tracer, hub):
         )
         metrics = replicated.runs[0]
     else:
-        result = run_experiment(
-            config, estimator=estimator, tracer=tracer, telemetry=hub
-        )
+        result = run_experiment(config, estimator=estimator, telemetry=hub)
         metrics = result.metrics
         forecast_report = result.forecasts
         rows = [[k, v] for k, v in metrics.as_dict().items()]

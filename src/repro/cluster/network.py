@@ -278,12 +278,7 @@ class Network:
         self.delivered_bytes += message.wire_bytes
         telemetry = self.engine.telemetry
         if telemetry.enabled:
-            telemetry.on_message_delivered(
-                self.engine.now,
-                message.wire_bytes,
-                message.buffer_delay,
-                message.total_delay,
-            )
+            telemetry.on_message_delivered(self.engine.now, message)
         if message.label:
             count, total = self.delivered_by_label.get(message.label, (0, 0.0))
             self.delivered_by_label[message.label] = (
@@ -299,12 +294,9 @@ class Network:
             return False
         self.lost_count += 1
         message.loss_count += 1
-        self.engine.tracer.record(
-            self.engine.now, "message", f"{message.label or 'msg'}.lost", {}
-        )
         telemetry = self.engine.telemetry
         if telemetry.enabled:
-            telemetry.on_message_lost(self.engine.now)
+            telemetry.on_message_lost(self.engine.now, message)
         if (
             self.max_retries is not None
             and message.loss_count > self.max_retries
@@ -315,14 +307,8 @@ class Network:
             # (exactly what a crashed receiver looks like).
             message.dropped = True
             self.dropped_count += 1
-            self.engine.tracer.record(
-                self.engine.now,
-                "message",
-                f"{message.label or 'msg'}.dropped",
-                {"losses": message.loss_count},
-            )
             if telemetry.enabled:
-                telemetry.on_message_dropped(self.engine.now)
+                telemetry.on_message_dropped(self.engine.now, message)
             return True
         self.engine.schedule(
             self.retransmit_timeout, self._resend, message, label="net.retransmit"
@@ -369,16 +355,6 @@ class Network:
             return
         message.delivery_time = self.engine.now
         self._account(message)
-        self.engine.tracer.record(
-            self.engine.now,
-            "message",
-            message.label or "msg",
-            {
-                "bytes": message.wire_bytes,
-                "buffer_delay": message.buffer_delay,
-                "total_delay": message.total_delay,
-            },
-        )
         callback = message.on_delivered
         self._start_next()
         if callback is not None:

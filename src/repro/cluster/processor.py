@@ -196,9 +196,11 @@ class Processor:
         lost = list(self.active_jobs())
         for job in lost:
             self.cancel_job(job)
-        self.engine.tracer.record(
-            self.engine.now, "failure", f"{self.name}.fail", {"lost": len(lost)}
-        )
+        telemetry = self.engine.telemetry
+        if telemetry.enabled:
+            telemetry.trace(
+                self.engine.now, "failure", f"{self.name}.fail", {"lost": len(lost)}
+            )
         return len(lost)
 
     def recover(self) -> None:
@@ -206,9 +208,9 @@ class Processor:
         if not self.failed:
             return
         self.failed = False
-        self.engine.tracer.record(
-            self.engine.now, "failure", f"{self.name}.recover", {}
-        )
+        telemetry = self.engine.telemetry
+        if telemetry.enabled:
+            telemetry.trace(self.engine.now, "failure", f"{self.name}.recover", {})
 
     def run_for(
         self,
@@ -362,17 +364,9 @@ class Processor:
     def _finish(self, job: Job) -> None:
         job.completion_time = self.engine.now
         self.completed_jobs += 1
-        self.engine.tracer.record(
-            self.engine.now,
-            "job",
-            job.label or job.kind,
-            {"processor": self.name, "demand": job.demand, "latency": job.latency},
-        )
         telemetry = self.engine.telemetry
         if telemetry.enabled:
-            telemetry.on_job_complete(
-                self.engine.now, self.name, job.kind, job.demand, job.latency
-            )
+            telemetry.on_job_complete(self.engine.now, self.name, job)
         if job.on_complete is not None:
             job.on_complete(job, self.engine.now)
 

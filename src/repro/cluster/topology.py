@@ -16,7 +16,6 @@ from repro.cluster.processor import Discipline, Processor
 from repro.errors import ClusterError
 from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
-from repro.sim.trace import Tracer
 from repro.telemetry.hub import TelemetryHub
 from repro.units import ETHERNET_100_MBPS, MS
 
@@ -191,7 +190,6 @@ def build_system(
     clock_sync_enabled: bool = True,
     speed_factors: tuple[float, ...] | None = None,
     seed: int = 0,
-    tracer: Tracer | None = None,
     telemetry: TelemetryHub | None = None,
     use_utilization_index: bool = True,
 ) -> System:
@@ -212,7 +210,7 @@ def build_system(
             f"{n_processors} processors need {n_processors} speed factors, "
             f"got {len(speed_factors)}"
         )
-    sim_engine = Engine(tracer=tracer, telemetry=telemetry)
+    sim_engine = Engine(telemetry=telemetry)
     rng = RngRegistry(seed)
     processors = [
         Processor(

@@ -310,9 +310,11 @@ class AdaptiveResourceManager:
         self.killed = True
         cancelled = sum(1 for event in self._step_events if event.cancel())
         self._step_events = []
-        self.system.engine.tracer.record(
-            self.system.engine.now, "rm", "rm.crash", {"cancelled": cancelled}
-        )
+        telemetry = self.system.engine.telemetry
+        if telemetry.enabled:
+            telemetry.trace(
+                self.system.engine.now, "rm", "rm.crash", {"cancelled": cancelled}
+            )
         return cancelled
 
     def on_rm_crash(self, injection) -> None:
@@ -602,16 +604,17 @@ class AdaptiveResourceManager:
         )
         if event.acted:
             self._reassign_deadlines(d_tracks)
-            self.system.engine.tracer.record(
-                now,
-                "rm",
-                f"{self.policy.name}.acted",
-                {
-                    "replicas": event.total_replicas,
-                    "added": sum(len(o.added_processors) for o in outcomes),
-                    "removed": len(shutdowns),
-                },
-            )
+            if telemetry.enabled:
+                telemetry.trace(
+                    now,
+                    "rm",
+                    f"{self.policy.name}.acted",
+                    {
+                        "replicas": event.total_replicas,
+                        "added": sum(len(o.added_processors) for o in outcomes),
+                        "removed": len(shutdowns),
+                    },
+                )
         if telemetry.enabled:
             if self.breaker is not None:
                 telemetry.on_breaker_state(

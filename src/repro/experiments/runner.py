@@ -39,7 +39,6 @@ from repro.experiments.history_index import RunHistoryIndex
 from repro.experiments.metrics import ExperimentMetrics, compute_metrics
 from repro.regression.estimator import TimingEstimator
 from repro.runtime.executor import ExecutorConfig, PeriodicTaskExecutor
-from repro.sim.trace import Tracer
 from repro.tasks.state import ReplicaAssignment
 from repro.telemetry.hub import TelemetryHub
 from repro.workloads.patterns import make_pattern
@@ -157,7 +156,6 @@ def build_world(
     config: ExperimentConfig,
     estimator: TimingEstimator | None = None,
     seed_offset: int = 0,
-    tracer: Tracer | None = None,
     telemetry: TelemetryHub | None = None,
 ) -> RunWorld:
     """Assemble and start one experiment, returning its live world.
@@ -188,7 +186,6 @@ def build_world(
         message_loss_probability=baseline.message_loss_probability,
         speed_factors=baseline.speed_factors,
         seed=baseline.seed + seed_offset,
-        tracer=tracer,
         telemetry=telemetry,
     )
     task = aaw_task(
@@ -402,7 +399,6 @@ def run_experiment(
     config: ExperimentConfig,
     estimator: TimingEstimator | None = None,
     seed_offset: int = 0,
-    tracer: Tracer | None = None,
     telemetry: TelemetryHub | None = None,
 ) -> ExperimentResult:
     """Run one experiment end to end and compute its metrics.
@@ -416,20 +412,17 @@ def run_experiment(
         Built on demand when omitted.
     seed_offset:
         Added to the baseline seed for replication studies.
-    tracer:
-        Optional tracer wired into the engine (e.g. a
-        :class:`~repro.sim.trace.StreamingTracer` writing JSONL).
     telemetry:
         Optional :class:`~repro.telemetry.hub.TelemetryHub`; instrumented
-        components report to it and the run's per-processor utilizations
-        are recorded as gauges before returning.  The caller owns the
-        hub (and closes its sink).
+        components report to it (and write their trace records to its
+        sink, if any) and the run's per-processor utilizations are
+        recorded as gauges before returning.  The caller owns the hub
+        (and closes its sink).
     """
     world = build_world(
         config,
         estimator=estimator,
         seed_offset=seed_offset,
-        tracer=tracer,
         telemetry=telemetry,
     )
     # Let stragglers finish or hit the shedding watchdog.

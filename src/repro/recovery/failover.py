@@ -165,17 +165,19 @@ class FailoverCoordinator:
         self.standby = standby
         self.active = standby
         self.takeover_time = now
-        self.system.engine.tracer.record(
-            now,
-            "rm",
-            "rm.takeover",
-            {
-                "crash_time": self.crash_time,
-                "latency_s": self.takeover_latency_s,
-                "missed_cycles": self.missed_cycles(),
-                "remaining_steps": len(remaining),
-            },
-        )
+        telemetry = self.system.engine.telemetry
+        if telemetry.enabled:
+            telemetry.trace(
+                now,
+                "rm",
+                "rm.takeover",
+                {
+                    "crash_time": self.crash_time,
+                    "latency_s": self.takeover_latency_s,
+                    "missed_cycles": self.missed_cycles(),
+                    "remaining_steps": len(remaining),
+                },
+            )
 
     # -- scorecard views ------------------------------------------------------
 

@@ -376,19 +376,11 @@ class PeriodicTaskExecutor:
         flight.done = True
         flight.record.completion_time = self.system.engine.now
         self._in_flight.pop(flight.record.period_index, None)
-        self.system.engine.tracer.record(
-            self.system.engine.now,
-            "period",
-            f"{self.task.name}.complete",
-            {
-                "period": flight.record.period_index,
-                "latency": flight.record.latency,
-                "missed": flight.record.missed,
-            },
-        )
         telemetry = self.system.engine.telemetry
         if telemetry.enabled:
-            telemetry.on_period_complete(self.system.engine.now, flight.record)
+            telemetry.on_period_complete(
+                self.system.engine.now, self.task.name, flight.record
+            )
         self._notify(flight.record)
 
     def _watchdog(self, period_index: int) -> None:
@@ -404,15 +396,11 @@ class PeriodicTaskExecutor:
         for name, job in flight.jobs:
             if job.completion_time is None:
                 self.system.processor(name).cancel_job(job)
-        self.system.engine.tracer.record(
-            self.system.engine.now,
-            "period",
-            f"{self.task.name}.abort",
-            {"period": flight.record.period_index},
-        )
         telemetry = self.system.engine.telemetry
         if telemetry.enabled:
-            telemetry.on_period_abort(self.system.engine.now, flight.record)
+            telemetry.on_period_abort(
+                self.system.engine.now, self.task.name, flight.record
+            )
         self._notify(flight.record)
 
     def _notify(self, record: PeriodRecord) -> None:

@@ -27,7 +27,6 @@ from typing import Any, Callable, Iterator, Sequence
 
 from repro.errors import SchedulingError
 from repro.sim.events import Event, EventState
-from repro.sim.trace import NullTracer, Tracer
 from repro.telemetry.hub import NULL_TELEMETRY, TelemetryHub
 
 _PENDING = EventState.PENDING
@@ -89,21 +88,19 @@ class Engine:
 
     Parameters
     ----------
-    tracer:
-        Optional :class:`~repro.sim.trace.Tracer` receiving a record for
-        every executed event.  Defaults to a no-op tracer.
     start_time:
         Initial simulation clock value in seconds (default ``0.0``).
     telemetry:
         Optional :class:`~repro.telemetry.hub.TelemetryHub` receiving
         batch accounting after each run loop.  Defaults to the disabled
         :data:`~repro.telemetry.hub.NULL_TELEMETRY` singleton; the hot
-        loops never touch it, only the post-loop accounting does.
+        loops never touch it, only the post-loop accounting does, so no
+        record is written per executed event.  Components reach the hub
+        as ``engine.telemetry``.
     """
 
     def __init__(
         self,
-        tracer: Tracer | None = None,
         start_time: float = 0.0,
         telemetry: TelemetryHub | None = None,
     ) -> None:
@@ -112,7 +109,6 @@ class Engine:
         self._seq = 0
         self._executed = 0
         self._running = False
-        self.tracer: Tracer = tracer if tracer is not None else NullTracer()
         self.telemetry: TelemetryHub = (
             telemetry if telemetry is not None else NULL_TELEMETRY
         )
@@ -231,7 +227,6 @@ class Engine:
             return False
         self._now = event.time
         self._executed += 1
-        self.tracer.record(self._now, "event", event.label, {"seq": event.seq})
         event._execute()
         return True
 
@@ -244,13 +239,11 @@ class Engine:
         if until < self._now:
             raise SchedulingError(f"run_until({until}) is before now={self._now}")
         self._running = True
-        # Hot loop: the heap, heappop and the tracer hook are hoisted to
-        # locals, and :meth:`step`'s body is inlined (one method call per
-        # event would dominate the figure sweeps' run time).  The tracer
-        # call is skipped entirely for the default no-op tracer.
+        # Hot loop: the heap and heappop are hoisted to locals, and
+        # :meth:`step`'s body is inlined (one method call per event would
+        # dominate the figure sweeps' run time).
         heap = self._heap
         pop = heappop
-        record = None if type(self.tracer) is NullTracer else self.tracer.record
         executed_before = self._executed
         # Profiler attribution is per run_until batch, never per event.
         profiler = self.telemetry.profiler if self.telemetry.enabled else None
@@ -267,8 +260,6 @@ class Engine:
                 pop(heap)
                 self._now = now
                 self._executed += 1
-                if record is not None:
-                    record(now, "event", event.label, {"seq": event.seq})
                 event._execute()
         finally:
             self._running = False
@@ -290,7 +281,6 @@ class Engine:
         # Same inlined hot loop as :meth:`run_until`, without a time bound.
         heap = self._heap
         pop = heappop
-        record = None if type(self.tracer) is NullTracer else self.tracer.record
         profiler = self.telemetry.profiler if self.telemetry.enabled else None
         handle = profiler.begin("engine.run") if profiler is not None else 0
         try:
@@ -300,8 +290,6 @@ class Engine:
                     continue
                 self._now = event.time
                 self._executed += 1
-                if record is not None:
-                    record(event.time, "event", event.label, {"seq": event.seq})
                 event._execute()
                 executed += 1
         finally:

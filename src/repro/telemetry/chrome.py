@@ -178,7 +178,7 @@ def _convert(
         return [_instant(label, "failure", t, PID_PROCESSORS, tid, data)]
     if cat == "rm":
         return [_instant(label, "rm", t, PID_RM, 1, data)]
-    return []  # "event" and other firehose categories stay out of the view
+    return []  # other categories (e.g. older traces' "event" lines) stay out
 
 
 def write_chrome_trace(

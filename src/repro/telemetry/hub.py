@@ -1,12 +1,18 @@
 """The telemetry hub: one facade over metrics, spans, and sinks.
 
-Instrumented components (engine, processors, network, executor, RM
-loop) hold a :class:`TelemetryHub` and guard every call site with the
-cheap ``hub.enabled`` class attribute — the exact pattern the engine's
-hot loop already uses for :class:`~repro.sim.trace.NullTracer`.  The
-default :data:`NULL_TELEMETRY` singleton has ``enabled = False``, so an
-uninstrumented run pays one attribute read and a falsy branch per
+The hub is the simulator's one instrumentation channel.  Instrumented
+components (engine, processors, network, executor, RM loop, chaos,
+failover) hold a :class:`TelemetryHub` and guard every call site with
+the cheap ``hub.enabled`` class attribute; each site makes one hub call.
+The default :data:`NULL_TELEMETRY` singleton has ``enabled = False``, so
+an uninstrumented run pays one attribute read and a falsy branch per
 *instrumentation site*, never per event.
+
+With a sink attached, the ``on_*`` hooks also write the site's
+``trace`` record (``{"t", "kind": "trace", "cat", "label", "data"}``),
+and sites without a hook of their own call :meth:`TelemetryHub.trace`.
+Executed calendar events are not recorded one by one: the engine
+reports each run loop as a batch (:meth:`TelemetryHub.on_engine_run`).
 
 The hub deliberately takes duck-typed simulation objects (period
 records, monitor reports, RM events) rather than importing the layers
@@ -40,8 +46,8 @@ class TelemetryHub:
     Parameters
     ----------
     sink:
-        Streaming destination for span/realization records (``None``
-        keeps metrics and spans in memory only).
+        Streaming destination for trace, span and realization records
+        (``None`` keeps metrics and spans in memory only).
     max_spans:
         Completed decision spans retained in memory.
     """
@@ -72,6 +78,14 @@ class TelemetryHub:
         """Forward one trace record to the sink, if any."""
         if self.sink is not None:
             self.sink.write(record)
+
+    def trace(self, now: float, cat: str, label: str, data: dict[str, Any]) -> None:
+        """Write one ``trace`` record (sites with no ``on_*`` hook)."""
+        self._tick(now)
+        if self.sink is not None:
+            self.sink.write(
+                {"t": now, "kind": "trace", "cat": cat, "label": label, "data": data}
+            )
 
     def close(self) -> None:
         """Close any dangling span and flush the sink."""
@@ -123,22 +137,25 @@ class TelemetryHub:
 
     # -- cluster ------------------------------------------------------------
 
-    def on_job_complete(
-        self, now: float, processor: str, kind: str, demand: float, latency: float
-    ) -> None:
-        """Account one completed CPU job."""
+    def on_job_complete(self, now: float, processor: str, job: Any) -> None:
+        """Account one completed CPU job (a duck-typed ``Job``)."""
         self._tick(now)
+        latency = job.latency
+        if self.sink is not None:
+            data = {"processor": processor, "demand": job.demand, "latency": latency}
+            self.trace(now, "job", job.label or job.kind, data)
         labels = {"processor": processor}
         self.registry.counter("proc.jobs_completed", labels).inc()
         self.registry.histogram("proc.job_latency_seconds", labels).observe(
             latency
         )
 
-    def on_message_delivered(
-        self, now: float, wire_bytes: float, buffer_delay: float, total_delay: float
-    ) -> None:
-        """Account one delivered network message."""
+    def on_message_delivered(self, now: float, message: Any) -> None:
+        """Account one delivered network message (a duck-typed ``Message``)."""
         self._tick(now)
+        wire_bytes = message.wire_bytes
+        buffer_delay = message.buffer_delay
+        total_delay = message.total_delay
         self.registry.counter("net.messages_delivered").inc()
         self.registry.counter("net.bytes_delivered").inc(wire_bytes)
         self.registry.histogram("net.message_delay_seconds").observe(total_delay)
@@ -147,15 +164,27 @@ class TelemetryHub:
             self._msg_stat.events += 1
         if self.slo is not None:
             self.slo.on_message(now, dropped=False)
+        if self.sink is not None:
+            data = {
+                "bytes": wire_bytes,
+                "buffer_delay": buffer_delay,
+                "total_delay": total_delay,
+            }
+            self.trace(now, "message", message.label or "msg", data)
 
-    def on_message_lost(self, now: float) -> None:
+    def on_message_lost(self, now: float, message: Any) -> None:
         """Account one lost transmission (retry pending)."""
         self._tick(now)
+        if self.sink is not None:
+            self.trace(now, "message", f"{message.label or 'msg'}.lost", {})
         self.registry.counter("net.messages_lost").inc()
 
-    def on_message_dropped(self, now: float) -> None:
+    def on_message_dropped(self, now: float, message: Any) -> None:
         """Account one message abandoned after exhausting its retries."""
         self._tick(now)
+        if self.sink is not None:
+            label = f"{message.label or 'msg'}.dropped"
+            self.trace(now, "message", label, {"losses": message.loss_count})
         self.registry.counter("net.messages_dropped").inc()
         if self._msg_stat is not None:
             self._msg_stat.events += 1
@@ -164,13 +193,20 @@ class TelemetryHub:
 
     # -- runtime ------------------------------------------------------------
 
-    def on_period_complete(self, now: float, record: Any) -> None:
-        """Account a finished period and realize matching forecasts.
+    def on_period_complete(self, now: float, task: str, record: Any) -> None:
+        """Account a finished period of ``task`` and realize its forecasts.
 
         ``record`` is a duck-typed
         :class:`~repro.runtime.records.PeriodRecord`.
         """
         self._tick(now)
+        if self.sink is not None:
+            data = {
+                "period": record.period_index,
+                "latency": record.latency,
+                "missed": record.missed,
+            }
+            self.trace(now, "period", f"{task}.complete", data)
         self.registry.counter("task.periods_completed").inc()
         if record.missed:
             self.registry.counter("task.periods_missed").inc()
@@ -190,9 +226,12 @@ class TelemetryHub:
             ):
                 self._record_realization(now, record.period_index, forecast)
 
-    def on_period_abort(self, now: float, record: Any) -> None:
-        """Account a period shed by the overload watchdog."""
+    def on_period_abort(self, now: float, task: str, record: Any) -> None:
+        """Account a period of ``task`` shed by the overload watchdog."""
         self._tick(now)
+        if self.sink is not None:
+            data = {"period": record.period_index}
+            self.trace(now, "period", f"{task}.abort", data)
         self.registry.counter("task.periods_aborted").inc()
         self.registry.counter("task.periods_missed").inc()
         if self.slo is not None:
@@ -312,9 +351,13 @@ class TelemetryHub:
         )
         self.registry.gauge("rm.breaker_trips").set(trips)
 
-    def on_fault_injected(self, now: float, kind: str, target: str) -> None:
-        """Account one chaos fault injection (by fault kind)."""
+    def on_fault_injected(self, now: float, injection: Any) -> None:
+        """Account one chaos fault (a duck-typed ``Injection``) by kind."""
         self._tick(now)
+        kind = injection.kind
+        if self.sink is not None:
+            data = {"duration_s": injection.duration_s, "value": injection.value}
+            self.trace(now, "chaos", f"{kind}.{injection.target}", data)
         self.registry.counter("chaos.faults_injected", {"kind": kind}).inc()
 
     def end_decision(self, now: float, event: Any) -> DecisionSpan | None:
@@ -389,35 +432,35 @@ class NullTelemetry(TelemetryHub):
         """Drop the record."""
         return
 
+    def trace(self, now: float, cat: str, label: str, data: dict[str, Any]) -> None:
+        """Drop the trace record."""
+        return
+
     def on_engine_run(self, now: float, executed: int) -> None:
         """Drop the engine-run accounting."""
         return
 
-    def on_job_complete(
-        self, now: float, processor: str, kind: str, demand: float, latency: float
-    ) -> None:
+    def on_job_complete(self, now: float, processor: str, job: Any) -> None:
         """Drop the job completion."""
         return
 
-    def on_message_delivered(
-        self, now: float, wire_bytes: float, buffer_delay: float, total_delay: float
-    ) -> None:
+    def on_message_delivered(self, now: float, message: Any) -> None:
         """Drop the message delivery."""
         return
 
-    def on_message_lost(self, now: float) -> None:
+    def on_message_lost(self, now: float, message: Any) -> None:
         """Drop the message loss."""
         return
 
-    def on_message_dropped(self, now: float) -> None:
+    def on_message_dropped(self, now: float, message: Any) -> None:
         """Drop the message-drop accounting."""
         return
 
-    def on_period_complete(self, now: float, record: Any) -> None:
+    def on_period_complete(self, now: float, task: str, record: Any) -> None:
         """Drop the period completion."""
         return
 
-    def on_period_abort(self, now: float, record: Any) -> None:
+    def on_period_abort(self, now: float, task: str, record: Any) -> None:
         """Drop the period abort."""
         return
 
@@ -433,7 +476,7 @@ class NullTelemetry(TelemetryHub):
         """Drop the breaker state."""
         return
 
-    def on_fault_injected(self, now: float, kind: str, target: str) -> None:
+    def on_fault_injected(self, now: float, injection: Any) -> None:
         """Drop the fault injection."""
         return
 

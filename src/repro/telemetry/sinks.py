@@ -1,9 +1,10 @@
 """Streaming trace sinks.
 
-A sink receives one plain-dict record per occurrence and persists it
-*incrementally* — unlike the buffering :class:`repro.sim.trace.Tracer`,
-nothing accumulates in memory and a crashed run keeps everything written
-so far.  The JSONL format (one JSON object per line) is the on-disk
+A sink receives one plain-dict record per occurrence from a
+:class:`~repro.telemetry.hub.TelemetryHub` and persists it
+*incrementally*: nothing accumulates in memory (except in
+:class:`MemorySink`, which tests read) and a crashed run keeps everything
+written so far.  The JSONL format (one JSON object per line) is the on-disk
 interchange: ``repro trace`` converts it to a Chrome trace and summary
 tables, and any jq/pandas pipeline can consume it directly.
 
@@ -13,8 +14,9 @@ Every record carries ``t`` (simulation time, seconds) and ``kind``; the
 remaining keys are kind-specific.  The instrumentation emits:
 
 ``trace``
-    A forwarded :class:`~repro.sim.trace.Tracer` record (``cat``,
-    ``label``, ``data``) — jobs, messages, period completions, failures.
+    One instrumented occurrence (``cat``, ``label``, ``data``) — jobs,
+    messages, periods, failures, chaos faults and RM crash/act/takeover.
+    Executed calendar events are not recorded one by one.
 ``rm.span``
     One resource-manager decision cycle (see
     :mod:`repro.telemetry.spans`).

@@ -59,7 +59,7 @@ class TrackStreamGenerator:
         self.pattern = pattern
         # Config-seeded private stream, deterministic per (pattern,
         # seed) — identical in parent and worker processes.
-        self._rng = np.random.default_rng(seed)  # repro: noqa CONC-RNG-FACTORY
+        self._rng = np.random.default_rng(seed)
         self._states: dict[int, Track] = {}
         self._next_id = 1
 

@@ -8,7 +8,8 @@ import pytest
 from repro.cluster.network import Network
 from repro.errors import ClusterError
 from repro.sim.engine import Engine
-from repro.sim.trace import Tracer
+from repro.telemetry.hub import TelemetryHub
+from repro.telemetry.sinks import MemorySink
 
 
 def make(loss=0.5, mode="shared", seed=0, timeout=0.050, max_retries=None):
@@ -125,7 +126,8 @@ class TestDroppedMessages:
 
     @pytest.mark.parametrize("mode", ["shared", "switched"])
     def test_drop_is_traced(self, mode):
-        engine = Engine(tracer=Tracer(categories={"message"}))
+        sink = MemorySink()
+        engine = Engine(telemetry=TelemetryHub(sink=sink))
         net = Network(
             engine, bandwidth_bps=100e6, default_overhead_bytes=0.0,
             mode=mode, loss_probability=0.99999, max_retries=1,
@@ -133,7 +135,7 @@ class TestDroppedMessages:
         )
         net.send_bytes(10_000.0, label="probe")
         engine.run()
-        labels = [record.label for record in engine.tracer.records]
+        labels = [r["label"] for r in sink.records if r["cat"] == "message"]
         assert "probe.dropped" in labels
 
     def test_negative_max_retries_rejected(self):

@@ -58,19 +58,20 @@ def test_staticmax_ordering(fast_baseline, fitted_estimator):
 
 
 def test_tracer_categories_cover_a_full_run():
-    """Every event category shows up during an adaptive run with tracing."""
+    """Every trace category shows up during an adaptive run with a hub."""
     from repro.bench.app import aaw_task, default_initial_placement
     from repro.cluster.topology import build_system
     from repro.core.manager import AdaptiveResourceManager, RMConfig
     from repro.core.predictive import PredictivePolicy
     from repro.runtime.executor import PeriodicTaskExecutor
-    from repro.sim.trace import Tracer
     from repro.tasks.state import ReplicaAssignment
+    from repro.telemetry.hub import TelemetryHub
+    from repro.telemetry.sinks import MemorySink
 
     from tests.conftest import exact_estimator
 
-    tracer = Tracer(categories=["job", "message", "period", "rm", "failure"])
-    system = build_system(n_processors=6, seed=1, tracer=tracer)
+    sink = MemorySink()
+    system = build_system(n_processors=6, seed=1, telemetry=TelemetryHub(sink=sink))
     task = aaw_task(noise_sigma=0.0)
     assignment = ReplicaAssignment(
         task, default_initial_placement(task, [p.name for p in system.processors])
@@ -87,5 +88,5 @@ def test_tracer_categories_cover_a_full_run():
     system.processor("p6").fail()
     system.engine.run_until(8.0)
 
-    categories = {record.category for record in tracer.records}
-    assert {"job", "message", "period", "rm", "failure"} <= categories
+    categories = {r["cat"] for r in sink.records if r["kind"] == "trace"}
+    assert categories == {"job", "message", "period", "rm", "failure"}

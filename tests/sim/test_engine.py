@@ -6,7 +6,6 @@ import pytest
 
 from repro.errors import SchedulingError
 from repro.sim.engine import Engine
-from repro.sim.trace import Tracer
 
 
 class TestScheduling:
@@ -239,14 +238,6 @@ class TestEvery:
 
 
 class TestTracing:
-    def test_tracer_records_events(self):
-        tracer = Tracer()
-        engine = Engine(tracer=tracer)
-        engine.schedule(1.0, lambda: None, label="hello")
-        engine.run()
-        assert len(tracer.by_category("event")) == 1
-        assert tracer.by_category("event")[0].label == "hello"
-
     def test_determinism_same_seeded_program(self):
         def program():
             engine = Engine()

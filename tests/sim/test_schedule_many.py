@@ -5,9 +5,10 @@ The contract under test is the one the method documents: a batch is
 same sequence numbers, same execution order — for large sorted batches,
 unsorted batches, batches racing single events and priorities, mid-run
 scheduling from callbacks and cancellations.  The order tests run the
-engine both with the default no-op tracer and with a recording tracer,
-because :meth:`Engine.run_until` takes a separate branch of its hot loop
-when a tracer is attached.
+engine both with the default disabled telemetry hub and with a traced
+one (a :class:`~repro.telemetry.hub.TelemetryHub` with a sink and an
+armed profiler), because :meth:`Engine.run_until` times each batch and
+reports it to the hub when telemetry is enabled.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ import pytest
 
 from repro.errors import SchedulingError
 from repro.sim.engine import Engine
-from repro.sim.trace import Tracer
+from repro.telemetry.hub import TelemetryHub
+from repro.telemetry.sinks import MemorySink
 
 
 class _LoopEngine(Engine):
@@ -49,13 +51,16 @@ def _order_log(engine, drive):
 
 def assert_equivalent(drive, traced):
     """The batch API must execute ``drive`` exactly as the loop reference."""
-    tracer = Tracer() if traced else None
-    engine = Engine(tracer=tracer)
+    hub = TelemetryHub(sink=MemorySink()) if traced else None
+    if hub is not None:
+        hub.arm_profiler()
+    engine = Engine(telemetry=hub)
     got = _order_log(engine, drive)
     assert got == _order_log(_LoopEngine(), drive)
     assert got  # non-trivial: the drive executed something
-    if tracer is not None:
-        assert len(tracer.by_category("event")) == engine.executed_count
+    if hub is not None:
+        executed = hub.registry.counter("sim.events_executed").value
+        assert executed == engine.executed_count
 
 
 class TestBatchScheduling:

@@ -33,6 +33,22 @@ def _period(period_index, stages, missed=False, latency=0.5):
     )
 
 
+def _job(demand, latency, label="", kind="exec"):
+    return SimpleNamespace(demand=demand, latency=latency, label=label, kind=kind)
+
+
+def _message(
+    wire_bytes=64.0, buffer_delay=0.0, total_delay=0.01, label="", loss_count=1
+):
+    return SimpleNamespace(
+        wire_bytes=wire_bytes,
+        buffer_delay=buffer_delay,
+        total_delay=total_delay,
+        label=label,
+        loss_count=loss_count,
+    )
+
+
 def _verdict(subtask_index, action):
     return SimpleNamespace(
         subtask_index=subtask_index,
@@ -65,7 +81,7 @@ class TestHubBasics:
     def test_now_tracks_largest_seen_time(self):
         hub = TelemetryHub()
         hub.on_engine_run(5.0, 10)
-        hub.on_message_lost(3.0)  # earlier time must not move `now` back
+        hub.on_message_lost(3.0, _message())  # earlier time must not move `now` back
         assert hub.now == 5.0
 
     def test_emit_without_sink_is_safe(self):
@@ -97,9 +113,9 @@ class TestInstrumentationCallbacks:
 
     def test_on_job_complete_labels_by_processor(self):
         hub = TelemetryHub()
-        hub.on_job_complete(1.0, "p0", "exec", 0.1, 0.2)
-        hub.on_job_complete(2.0, "p0", "exec", 0.1, 0.3)
-        hub.on_job_complete(2.0, "p1", "exec", 0.1, 0.4)
+        hub.on_job_complete(1.0, "p0", _job(0.1, 0.2))
+        hub.on_job_complete(2.0, "p0", _job(0.1, 0.3))
+        hub.on_job_complete(2.0, "p1", _job(0.1, 0.4))
         assert (
             hub.registry.counter("proc.jobs_completed", {"processor": "p0"}).value
             == 2
@@ -111,8 +127,8 @@ class TestInstrumentationCallbacks:
 
     def test_network_callbacks(self):
         hub = TelemetryHub()
-        hub.on_message_delivered(1.0, 512.0, 0.01, 0.02)
-        hub.on_message_lost(1.5)
+        hub.on_message_delivered(1.0, _message(512.0, 0.01, 0.02))
+        hub.on_message_lost(1.5, _message())
         assert hub.registry.counter("net.messages_delivered").value == 1
         assert hub.registry.counter("net.bytes_delivered").value == 512.0
         assert hub.registry.counter("net.messages_lost").value == 1
@@ -120,27 +136,27 @@ class TestInstrumentationCallbacks:
 
     def test_on_period_complete_counts_and_misses(self):
         hub = TelemetryHub()
-        hub.on_period_complete(1.0, _period(0, [], missed=False))
-        hub.on_period_complete(2.0, _period(1, [], missed=True))
+        hub.on_period_complete(1.0, "aaw", _period(0, [], missed=False))
+        hub.on_period_complete(2.0, "aaw", _period(1, [], missed=True))
         assert hub.registry.counter("task.periods_completed").value == 2
         assert hub.registry.counter("task.periods_missed").value == 1
         assert hub.registry.histogram("task.period_latency_seconds").count == 2
 
     def test_on_period_abort(self):
         hub = TelemetryHub()
-        hub.on_period_abort(1.0, _period(0, []))
+        hub.on_period_abort(1.0, "aaw", _period(0, []))
         assert hub.registry.counter("task.periods_aborted").value == 1
         assert hub.registry.counter("task.periods_missed").value == 1
 
     def test_on_period_abort_advances_now(self):
         hub = TelemetryHub()
-        hub.on_period_abort(7.5, _period(0, []))
+        hub.on_period_abort(7.5, "aaw", _period(0, []))
         assert hub.now == 7.5
 
     def test_on_message_dropped(self):
         hub = TelemetryHub()
-        hub.on_message_dropped(2.0)
-        hub.on_message_dropped(3.0)
+        hub.on_message_dropped(2.0, _message())
+        hub.on_message_dropped(3.0, _message())
         assert hub.registry.counter("net.messages_dropped").value == 2
         assert hub.now == 3.0
 
@@ -237,7 +253,7 @@ class TestForecastRealization:
         hub.begin_decision(1.0)
         hub.on_forecast(1.0, 0, 2, forecast_s=0.5, threshold_s=0.6, accepted=True)
         hub.end_decision(1.1, _event(placement={0: ["p0", "p1"]}, total_replicas=2))
-        hub.on_period_complete(2.0, _period(3, [_stage(0, 2, 0.4)]))
+        hub.on_period_complete(2.0, "aaw", _period(3, [_stage(0, 2, 0.4)]))
         realized = [
             r for r in sink.records if r["kind"] == "rm.forecast_realized"
         ]
@@ -252,7 +268,7 @@ class TestForecastRealization:
         hub.begin_decision(1.0)
         hub.on_forecast(1.0, 0, 2, forecast_s=0.9, threshold_s=0.6, accepted=False)
         hub.end_decision(1.1, _event(placement={}, total_replicas=0))
-        hub.on_period_complete(2.0, _period(3, [_stage(0, 2, 0.4)]))
+        hub.on_period_complete(2.0, "aaw", _period(3, [_stage(0, 2, 0.4)]))
         assert not any(
             r["kind"] == "rm.forecast_realized" for r in sink.records
         )
@@ -262,7 +278,7 @@ class TestForecastRealization:
         hub.begin_decision(1.0)
         hub.on_forecast(1.0, 0, 2, forecast_s=0.5, threshold_s=0.6, accepted=True)
         hub.end_decision(1.1, _event(placement={}, total_replicas=0))
-        hub.on_period_complete(2.0, _period(3, [_stage(0, 2, None)]))
+        hub.on_period_complete(2.0, "aaw", _period(3, [_stage(0, 2, None)]))
         assert len(hub.spans.pending) == 1  # still awaiting a real latency
 
 
@@ -271,11 +287,11 @@ class TestArmedConsumers:
         hub = TelemetryHub()
         engine = hub.arm_slo()
         assert hub.slo is engine
-        hub.on_period_complete(1.0, _period(0, [], missed=False))
-        hub.on_period_complete(2.0, _period(1, [], missed=True))
-        hub.on_period_abort(3.0, _period(2, []))
-        hub.on_message_delivered(3.0, 64.0, 0.0, 0.01)
-        hub.on_message_dropped(3.5)
+        hub.on_period_complete(1.0, "aaw", _period(0, [], missed=False))
+        hub.on_period_complete(2.0, "aaw", _period(1, [], missed=True))
+        hub.on_period_abort(3.0, "aaw", _period(2, []))
+        hub.on_message_delivered(3.0, _message(64.0, 0.0, 0.01))
+        hub.on_message_dropped(3.5, _message())
         report = engine.report()
         by_name = {v.rule.name: v for v in report.verdicts}
         # 3 periods, 2 bad (the miss and the abort).
@@ -293,7 +309,7 @@ class TestArmedConsumers:
         hub.end_decision(1.1, _event(placement={0: ["p0", "p1"]},
                                      total_replicas=2))
         # Realized 0.4 vs forecast 0.8: APE 1.0 > the 0.5 tolerance.
-        hub.on_period_complete(2.0, _period(3, [_stage(0, 2, 0.4)]))
+        hub.on_period_complete(2.0, "aaw", _period(3, [_stage(0, 2, 0.4)]))
         by_name = {v.rule.name: v for v in engine.report().verdicts}
         assert by_name["forecast-calibration"].n_events == 1
         assert by_name["forecast-calibration"].observed == 1.0
@@ -302,7 +318,7 @@ class TestArmedConsumers:
         hub = TelemetryHub()
         hub.arm_slo()
         hub.begin_decision(1.0)
-        hub.on_period_complete(1.0, _period(0, [], missed=True))
+        hub.on_period_complete(1.0, "aaw", _period(0, [], missed=True))
         hub.end_decision(1.1, _event(placement={}, total_replicas=0))
         assert (
             hub.registry.gauge(
@@ -317,7 +333,7 @@ class TestArmedConsumers:
         hub.arm_slo()
         for i in range(4):
             hub.begin_decision(float(i))
-            hub.on_period_complete(float(i), _period(i, [], missed=True))
+            hub.on_period_complete(float(i), "aaw", _period(i, [], missed=True))
             hub.end_decision(float(i) + 0.1, _event(placement={},
                                                     total_replicas=0))
         alerts = [r for r in sink.records if r["kind"] == "slo.alert"]
@@ -327,8 +343,8 @@ class TestArmedConsumers:
         hub = TelemetryHub()
         profiler = hub.arm_profiler()
         assert hub.profiler is profiler
-        hub.on_message_delivered(1.0, 64.0, 0.0, 0.01)
-        hub.on_message_dropped(2.0)
+        hub.on_message_delivered(1.0, _message(64.0, 0.0, 0.01))
+        hub.on_message_dropped(2.0, _message())
         [stat] = profiler.stats()
         assert stat.name == "net.message"
         assert stat.events == 2
@@ -344,13 +360,113 @@ class TestNullTelemetry:
         null = NullTelemetry()
         null.emit({"t": 0.0, "kind": "trace"})
         null.on_engine_run(1.0, 5)
-        null.on_job_complete(1.0, "p0", "exec", 0.1, 0.2)
-        null.on_message_delivered(1.0, 10.0, 0.0, 0.0)
-        null.on_message_lost(1.0)
-        null.on_message_dropped(1.0)
+        null.on_job_complete(1.0, "p0", _job(0.1, 0.2))
+        null.on_message_delivered(1.0, _message(10.0, 0.0, 0.0))
+        null.on_message_lost(1.0, _message())
+        null.on_message_dropped(1.0, _message())
         null.on_cluster_utilization(1.0, 0.5, "p0")
-        null.on_period_complete(1.0, _period(0, []))
-        null.on_period_abort(1.0, _period(0, []))
+        null.on_period_complete(1.0, "aaw", _period(0, []))
+        null.on_period_abort(1.0, "aaw", _period(0, []))
+        null.on_fault_injected(
+            1.0, SimpleNamespace(kind="crash", target="p1", duration_s=2.0, value=0.0)
+        )
+        null.trace(1.0, "rm", "rm.crash", {"cancelled": 1})
         assert len(null.registry) == 0
         assert null.now == 0.0
         assert null.slo is None and null.profiler is None
+
+
+def _trace(t, cat, label, data):
+    return {"t": t, "kind": "trace", "cat": cat, "label": label, "data": data}
+
+
+#: (hook, args, the trace record it writes with a sink attached).
+HOOK_RECORDS = [
+    (
+        "on_job_complete",
+        (1.0, "p2", _job(0.25, 0.5, label="aaw.s1")),
+        _trace(1.0, "job", "aaw.s1", {"processor": "p2", "demand": 0.25,
+                                      "latency": 0.5}),
+    ),
+    (
+        "on_message_delivered",
+        (2.0, _message(512.0, 0.01, 0.03, label="aaw.m1")),
+        _trace(2.0, "message", "aaw.m1", {"bytes": 512.0, "buffer_delay": 0.01,
+                                          "total_delay": 0.03}),
+    ),
+    (
+        "on_message_lost",
+        (2.5, _message(label="aaw.m1")),
+        _trace(2.5, "message", "aaw.m1.lost", {}),
+    ),
+    (
+        "on_message_dropped",
+        (3.0, _message(loss_count=4)),
+        _trace(3.0, "message", "msg.dropped", {"losses": 4}),
+    ),
+    (
+        "on_period_complete",
+        (4.0, "aaw", _period(7, [], missed=True, latency=1.25)),
+        _trace(4.0, "period", "aaw.complete", {"period": 7, "latency": 1.25,
+                                               "missed": True}),
+    ),
+    (
+        "on_period_abort",
+        (5.0, "aaw", _period(8, [])),
+        _trace(5.0, "period", "aaw.abort", {"period": 8}),
+    ),
+    (
+        "on_fault_injected",
+        (6.0, SimpleNamespace(kind="crash", target="p3", duration_s=None,
+                              value=0.0)),
+        _trace(6.0, "chaos", "crash.p3", {"duration_s": None, "value": 0.0}),
+    ),
+]
+HOOK_IDS = [hook for hook, _, _ in HOOK_RECORDS]
+
+
+class TestTraceRecords:
+    def test_trace_streams_one_record(self):
+        sink = MemorySink()
+        hub = TelemetryHub(sink=sink)
+        hub.trace(1.5, "rm", "rm.crash", {"cancelled": 3})
+        assert sink.records == [_trace(1.5, "rm", "rm.crash", {"cancelled": 3})]
+
+    def test_trace_without_sink_only_advances_now(self):
+        hub = TelemetryHub()
+        hub.trace(2.0, "failure", "p1.fail", {"lost": 0})
+        assert hub.now == 2.0
+        assert len(hub.registry) == 0
+
+    @pytest.mark.parametrize("hook,args,record", HOOK_RECORDS, ids=HOOK_IDS)
+    def test_hook_writes_its_trace_record(self, hook, args, record):
+        sink = MemorySink()
+        getattr(TelemetryHub(sink=sink), hook)(*args)
+        assert sink.records == [record]
+
+    @pytest.mark.parametrize("hook,args,record", HOOK_RECORDS, ids=HOOK_IDS)
+    def test_hook_without_sink_still_counts(self, hook, args, record):
+        hub = TelemetryHub()
+        getattr(hub, hook)(*args)
+        assert len(hub.registry) > 0
+        assert hub.now == record["t"]
+
+    def test_period_record_precedes_its_forecast_realizations(self):
+        sink = MemorySink()
+        hub = TelemetryHub(sink=sink)
+        hub.begin_decision(1.0)
+        hub.on_forecast(1.0, 0, 2, forecast_s=0.5, threshold_s=0.6, accepted=True)
+        hub.end_decision(1.1, _event(placement={0: ["p0", "p1"]}, total_replicas=2))
+        hub.on_period_complete(2.0, "aaw", _period(3, [_stage(0, 2, 0.4)]))
+        kinds = [r["kind"] for r in sink.records]
+        assert kinds == ["rm.span", "trace", "rm.forecast_realized"]
+        assert sink.records[1]["label"] == "aaw.complete"
+
+    def test_null_hub_writes_no_trace_records(self):
+        sink = MemorySink()
+        null = NullTelemetry()
+        null.sink = sink
+        null.trace(1.0, "rm", "rm.takeover", {})
+        for hook, args, _ in HOOK_RECORDS:
+            getattr(null, hook)(*args)
+        assert sink.records == []

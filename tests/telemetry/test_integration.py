@@ -8,7 +8,6 @@ import pytest
 
 from repro.experiments.config import BaselineConfig, ExperimentConfig
 from repro.experiments.runner import run_experiment
-from repro.sim.trace import StreamingTracer
 from repro.telemetry import (
     JsonlTraceSink,
     TelemetryHub,
@@ -24,18 +23,14 @@ def telemetry_run(tmp_path_factory, fitted_estimator):
     """One predictive run instrumented end-to-end, shared by the tests."""
     out = tmp_path_factory.mktemp("telemetry")
     trace_path = out / "trace.jsonl"
-    sink = JsonlTraceSink(trace_path)
-    hub = TelemetryHub(sink=sink)
-    tracer = StreamingTracer(sink)
+    hub = TelemetryHub(sink=JsonlTraceSink(trace_path))
     config = ExperimentConfig(
         policy="predictive",
         pattern="increasing",
         max_workload_units=8.0,
         baseline=BaselineConfig(n_periods=15, noise_sigma=0.0, seed=3),
     )
-    result = run_experiment(
-        config, estimator=fitted_estimator, tracer=tracer, telemetry=hub
-    )
+    result = run_experiment(config, estimator=fitted_estimator, telemetry=hub)
     hub.close()
     return result, hub, trace_path
 
@@ -54,6 +49,9 @@ class TestTelemetryRun:
         assert kinds.get("rm.span", 0) >= 10
         assert kinds.get("trace.job", 0) > 0
         assert kinds.get("trace.period", 0) > 0
+        assert kinds.get("trace.message", 0) > 0
+        # Executed calendar events are batch-accounted, never traced.
+        assert "trace.event" not in kinds
 
     def test_metrics_registry_populated(self, telemetry_run):
         _, hub, _ = telemetry_run

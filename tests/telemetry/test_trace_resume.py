@@ -1,10 +1,11 @@
 """Trace continuity across checkpoint/restore (:mod:`repro.recovery`).
 
-A run streaming a :class:`JsonlTraceSink` that is snapshotted and
-resumed must leave ONE coherent trace file: the records written before
-the snapshot survive (append-mode reopen, no truncation) and the
-continuation's records follow them, all loadable by
-:func:`read_jsonl`.
+A run whose :class:`~repro.telemetry.hub.TelemetryHub` streams to a
+:class:`JsonlTraceSink` and that is snapshotted and resumed must leave
+ONE coherent trace file: the records written before the snapshot
+survive (append-mode reopen, no truncation) and the continuation's
+records follow them, all loadable by :func:`read_jsonl` and equal to
+the uninterrupted run's stream.
 """
 
 from __future__ import annotations
@@ -12,10 +13,11 @@ from __future__ import annotations
 import pickle
 
 from repro.experiments.config import BaselineConfig, ExperimentConfig
-from repro.experiments.runner import build_world, run_experiment
+from repro.experiments.runner import build_world, finalize_world, run_experiment
 from repro.recovery import restore_snapshot, take_snapshot
-from repro.sim.trace import StreamingTracer
+from repro.telemetry.hub import TelemetryHub
 from repro.telemetry.sinks import JsonlTraceSink, read_jsonl
+from repro.telemetry.slo import DEFAULT_SLO_RULES
 
 BASELINE = BaselineConfig(n_periods=8, seed=3)
 CONFIG = ExperimentConfig(
@@ -59,27 +61,28 @@ class TestResumedRunTrace:
     def test_resumed_trace_concatenates_and_round_trips(self, tmp_path, fitted_estimator):
         # Reference: one uninterrupted traced run.
         ref_path = tmp_path / "ref.jsonl"
-        with JsonlTraceSink(ref_path, flush_every=1) as sink:
-            run_experiment(
-                CONFIG, estimator=fitted_estimator, tracer=StreamingTracer(sink)
-            )
+        reference_hub = _hub(ref_path)
+        run_experiment(CONFIG, estimator=fitted_estimator, telemetry=reference_hub)
+        reference_hub.close()
         reference = read_jsonl(ref_path)
         assert reference, "traced reference run produced no records"
 
-        # Crash-and-resume: snapshot mid-run (the sink pickles with the
-        # world), keep running nothing in the original, restore, finish.
+        # Crash-and-resume: snapshot mid-run (the hub and its sink pickle
+        # with the world), keep running nothing in the original, restore,
+        # finish.
         path = tmp_path / "trace.jsonl"
-        sink = JsonlTraceSink(path, flush_every=1)
-        world = build_world(
-            CONFIG, estimator=fitted_estimator, tracer=StreamingTracer(sink)
-        )
+        hub = _hub(path)
+        world = build_world(CONFIG, estimator=fitted_estimator, telemetry=hub)
         world.system.engine.run_until(3.0)
         snapshot = take_snapshot(world)
-        sink.close()  # the "crash": original process gone, file flushed
+        hub.sink.close()  # the "crash": original process gone, file flushed
 
         resumed_world = restore_snapshot(snapshot)
         resumed_world.system.engine.run_until(resumed_world.end_time)
-        resumed_world.system.engine.tracer.sink.close()
+        finalize_world(resumed_world)
+        resumed_hub = resumed_world.system.engine.telemetry
+        assert resumed_hub is not hub
+        resumed_hub.close()
 
         merged = read_jsonl(path)
         times = [r["t"] for r in merged]
@@ -88,12 +91,16 @@ class TestResumedRunTrace:
         # past the snapshot point.
         assert any(r["t"] <= 3.0 for r in merged)
         assert any(r["t"] > 3.0 for r in merged)
-        # Same event stream as the uninterrupted run, modulo the few
-        # records the original emitted between snapshot and close: the
-        # merged trace replays the reference's (t, kind, label) stream.
-        def key(record):
-            return (record["t"], record["kind"], record.get("label"))
+        # One stream: the merged trace is the uninterrupted run's, record
+        # for record, and the resumed hub's metrics match it too.
+        assert merged == reference
+        assert resumed_hub.registry.to_json(resumed_hub.now) == (
+            reference_hub.registry.to_json(reference_hub.now)
+        )
 
-        ref_keys = [key(r) for r in reference]
-        merged_keys = [key(r) for r in merged]
-        assert merged_keys == ref_keys
+
+def _hub(path):
+    """A hub streaming to ``path`` with the default SLO rules armed."""
+    hub = TelemetryHub(sink=JsonlTraceSink(path, flush_every=1))
+    hub.arm_slo(DEFAULT_SLO_RULES)
+    return hub
