@@ -61,7 +61,6 @@ from repro.chaos import (
 )
 from repro.cluster.background import BackgroundLoad
 from repro.cluster.failures import FailureEvent, FailureInjector
-from repro.cluster.index import IndexStats, UtilizationIndex
 from repro.cluster.processor import Processor
 from repro.cluster.topology import System, build_system
 from repro.core.allocation import (
@@ -252,7 +251,6 @@ __all__ = [
     "FairShareAllocator",
     "ForecastCircuitBreaker",
     "HardeningConfig",
-    "IndexStats",
     "JobFailure",
     "JsonlTraceSink",
     "LatencyBreakdown",
@@ -287,7 +285,6 @@ __all__ = [
     "Timeline",
     "TimingEstimator",
     "TrackStreamGenerator",
-    "UtilizationIndex",
     "aaw_task",
     "as_allocator",
     "assign_deadlines",
@@ -348,6 +345,17 @@ _DEPRECATED_NAMES: dict[str, tuple[str, str]] = {
         "Engine",
         "the simulator has one event calendar and both took "
         "bit-identical decisions",
+    ),
+    "UtilizationIndex": (
+        "System",
+        "System.least_utilized/processors_below/mean_utilization select "
+        "from one memoized reading per processor per event",
+    ),
+    "IndexStats": (
+        "System",
+        "System.least_utilized/processors_below/mean_utilization select "
+        "from one memoized reading per processor per event; there are no "
+        "index counters left to export",
     ),
 }
 

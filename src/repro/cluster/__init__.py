@@ -17,13 +17,14 @@ and NTP-style synchronized clocks.
   profiler to pin the ``u`` axis of the regression grid).
 * :class:`~repro.cluster.clock.NodeClock` / ``ClockSyncService`` —
   bounded-offset clock model standing in for [Mills95] NTP.
-* :class:`~repro.cluster.topology.System` — the assembled machine.
+* :class:`~repro.cluster.topology.System` — the assembled machine; its
+  utilization views (``least_utilized``, ``processors_below``,
+  ``mean_utilization``) read each processor once per engine event.
 """
 
 from repro.cluster.background import BackgroundLoad
 from repro.cluster.clock import ClockSyncService, NodeClock
 from repro.cluster.failures import FailureEvent, FailureInjector
-from repro.cluster.index import IndexStats, UtilizationIndex
 from repro.cluster.metering import UtilizationMeter
 from repro.cluster.network import Message, Network
 from repro.cluster.processor import Discipline, Job, Processor
@@ -35,14 +36,12 @@ __all__ = [
     "Discipline",
     "FailureEvent",
     "FailureInjector",
-    "IndexStats",
     "Job",
     "Message",
     "Network",
     "NodeClock",
     "Processor",
     "System",
-    "UtilizationIndex",
     "UtilizationMeter",
     "build_system",
 ]

@@ -7,10 +7,10 @@ that the task executor, the profiler, and the resource manager all share.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from repro.cluster.clock import ClockSyncService, NodeClock
-from repro.cluster.index import UtilizationIndex
 from repro.cluster.network import Network
 from repro.cluster.processor import Discipline, Processor
 from repro.errors import ClusterError
@@ -39,6 +39,15 @@ class System:
         :func:`build_system` when enabled).
     rng:
         Named random streams for all stochastic components.
+
+    Every default-window ``ut(p, t)`` the resource manager acts on comes
+    from one memo: a ``{name: p.utilization()}`` dict in creation order,
+    taken at most once per engine event.  Simulation time is frozen
+    inside an event and windowed utilization is continuous across
+    same-instant busy/idle transitions, so one reading per processor per
+    event is exact; keying the memo on the executed-event count as well
+    as the time means a reading fault set by one event is seen by the
+    next event at the same instant.
     """
 
     engine: Engine
@@ -47,21 +56,15 @@ class System:
     clocks: list[NodeClock]
     clock_sync: ClockSyncService | None
     rng: RngRegistry
-    #: Serve utilization queries from the incremental index (bit-identical
-    #: to the scan; disable to benchmark the pre-index path).
-    use_utilization_index: bool = True
 
     _by_name: dict[str, Processor] = field(init=False, repr=False)
-    utilization_index: UtilizationIndex | None = field(
-        init=False, repr=False, default=None
-    )
+    _memo_key: tuple[float, int] | None = field(init=False, repr=False, default=None)
+    _memo: dict[str, float] = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         self._by_name = {p.name: p for p in self.processors}
         if len(self._by_name) != len(self.processors):
             raise ClusterError("duplicate processor names")
-        if self.use_utilization_index and self.processors:
-            self.utilization_index = UtilizationIndex(self.engine, self.processors)
 
     # -- lookup ----------------------------------------------------------------
 
@@ -86,9 +89,38 @@ class System:
 
     # -- utilization views ---------------------------------------------------------
 
+    def _readings(self, window: float | None = None) -> dict[str, float]:
+        """``{name: ut(p, t)}`` in creation order; the one read path.
+
+        The default window is served from the per-event memo (the
+        returned dict is the memo itself: callers must not mutate it);
+        a non-default window reads every meter fresh.
+        """
+        if window is not None:
+            return {p.name: p.utilization(window=window) for p in self.processors}
+        engine = self.engine
+        key = (engine.now, engine.executed_count)
+        if key != self._memo_key:
+            self._memo = {p.name: p.utilization() for p in self.processors}
+            self._memo_key = key
+        return self._memo
+
     def utilizations(self, window: float | None = None) -> dict[str, float]:
-        """``ut(p, t)`` for every processor at the current time."""
-        return {p.name: p.utilization(window=window) for p in self.processors}
+        """``ut(p, t)`` for every processor at the current time (a copy)."""
+        return dict(self._readings(window))
+
+    def utilizations_of(
+        self, names: Iterable[str], window: float | None = None
+    ) -> list[float]:
+        """``ut(p, t)`` of the named processors, in the order given, from
+        the same readings as the selections below."""
+        if window is not None:
+            return [self.processor(name).utilization(window=window) for name in names]
+        readings = self._readings()
+        try:
+            return [readings[name] for name in names]
+        except KeyError as exc:
+            raise ClusterError(f"unknown processor {exc.args[0]!r}") from None
 
     def least_utilized(
         self, exclude: set[str] | frozenset[str] = frozenset(), window: float | None = None
@@ -98,74 +130,34 @@ class System:
         This is step 3 of the paper's Figure 5 (``p_min``); failed
         processors are never candidates.  ``None`` if the exclusion set
         (plus failures) covers every processor.  Ties break by name.
-
-        Served from the incremental utilization index (O(log P) on the
-        hot path, bit-identical results); non-default windows and
-        index-less systems fall back to the full scan.
         """
-        if self.utilization_index is None or window is not None:
-            return self.least_utilized_scan(exclude=exclude, window=window)
-        found = self.utilization_index.argmin(exclude=exclude)
-        if found is None:
-            return None
-        return self._by_name[found[1]]
-
-    def least_utilized_scan(
-        self, exclude: set[str] | frozenset[str] = frozenset(), window: float | None = None
-    ) -> Processor | None:
-        """Reference O(P) implementation of :meth:`least_utilized`."""
-        candidates = [
-            p for p in self.processors if p.name not in exclude and not p.failed
-        ]
-        if not candidates:
-            return None
-        return min(candidates, key=lambda p: (p.utilization(window=window), p.name))
+        readings = self._readings(window)
+        best = min(
+            (
+                (readings[p.name], p.name)
+                for p in self.processors
+                if not p.failed and p.name not in exclude
+            ),
+            default=None,
+        )
+        return None if best is None else self._by_name[best[1]]
 
     def processors_below(
         self, threshold: float, window: float | None = None
     ) -> list[Processor]:
         """Live processors with ``ut(p, t) < threshold``, in creation order.
 
-        This is Figure 7's candidate sweep; like :meth:`least_utilized`
-        it is served from the utilization index when possible and is
-        bit-identical to :meth:`processors_below_scan`.
+        This is Figure 7's candidate sweep (``for every p in PR``).
         """
-        if self.utilization_index is None or window is not None:
-            return self.processors_below_scan(threshold, window=window)
-        return self.utilization_index.below(threshold)
-
-    def processors_below_scan(
-        self, threshold: float, window: float | None = None
-    ) -> list[Processor]:
-        """Reference O(P) implementation of :meth:`processors_below`."""
+        readings = self._readings(window)
         return [
-            p
-            for p in self.processors
-            if not p.failed and p.utilization(window=window) < threshold
+            p for p in self.processors if not p.failed and readings[p.name] < threshold
         ]
 
     def mean_utilization(self) -> float:
-        """Mean ``ut(p, t)`` over **all** processors (failed included).
-
-        Float-identical to ``sum([p.utilization() for p in processors])
-        / len(processors)``; when the index is active the readings are
-        folded into it so the step's later queries hit warm entries.
-        """
-        if self.utilization_index is not None:
-            values = self.utilization_index.exact_utilizations()
-        else:
-            values = [p.utilization() for p in self.processors]
+        """Mean ``ut(p, t)`` over **all** processors (failed included)."""
+        values = self._readings().values()
         return sum(values) / len(values)
-
-    def notify_placement_change(self, names: "set[str] | frozenset[str]") -> None:
-        """Refresh index entries after replicas were placed/shut down.
-
-        Placements don't change utilization at the decision instant, but
-        re-reading the touched processors keeps their heap keys exact so
-        the remaining queries of this RM step stay O(log P).
-        """
-        if self.utilization_index is not None and names:
-            self.utilization_index.refresh(names)
 
     def live_processors(self) -> list[Processor]:
         """All processors currently up."""
@@ -191,7 +183,6 @@ def build_system(
     speed_factors: tuple[float, ...] | None = None,
     seed: int = 0,
     telemetry: TelemetryHub | None = None,
-    use_utilization_index: bool = True,
 ) -> System:
     """Construct the Table 1 baseline system (or a variant of it).
 
@@ -254,5 +245,4 @@ def build_system(
         clocks=clocks,
         clock_sync=sync,
         rng=rng,
-        use_utilization_index=use_utilization_index,
     )

@@ -15,8 +15,8 @@ user-registered policies written against the historical API.
 
 **Level 2 — per-cycle**: an :class:`Allocator` receives one
 :class:`AllocationContext` per monitoring cycle — every replication
-candidate the monitor flagged, the full utilization snapshot (served by
-the :class:`~repro.cluster.index.UtilizationIndex` when armed), the
+candidate the monitor flagged, the full utilization snapshot (the
+system's per-event readings, the same ones the paper policies see), the
 estimator, the stage budgets, and the hardened loop's exclusions — and
 returns an :class:`AllocationPlan`.  The
 :class:`~repro.core.manager.AdaptiveResourceManager` drives level 2
@@ -192,11 +192,10 @@ class AllocationContext:
     ) -> dict[str, float]:
         """``ut(p, t)`` for every processor, reading-guard applied.
 
-        With the default window the snapshot is served through the
-        incremental :class:`~repro.cluster.index.UtilizationIndex`-backed
-        readings the paper policies see; cycle-scoped allocators price
-        or rank the whole cluster from this one dict instead of issuing
-        per-candidate queries.
+        With the default window the snapshot is a copy of the system's
+        per-event readings, the ones the paper policies select from;
+        cycle-scoped allocators price or rank the whole cluster from this
+        one dict instead of issuing per-candidate queries.
         """
         raw = self.system.utilizations(window=window)
         if self.reading_guard is None:

@@ -201,11 +201,12 @@ class PlacementGuard:
         horizon = now - self.config.offender_window_s
         bad_readings: list[str] = []
         offenders: list[tuple[int, str]] = []
+        readings = self.system.utilizations()
         for processor in self.system.processors:
             times = self._crash_times[processor.name]
             while times and times[0] < horizon:
                 times.popleft()
-            reading = processor.utilization()
+            reading = readings[processor.name]
             if not math.isfinite(reading) or not 0.0 <= reading <= 1.0:
                 bad_readings.append(processor.name)
             elif len(times) >= self.config.offender_failure_threshold:

@@ -208,7 +208,6 @@ class AdaptiveResourceManager:
             shutdown_slack_fraction=self.config.shutdown_slack_fraction,
             window=self.config.monitor_window,
             telemetry=system.engine.telemetry,
-            utilization_index=system.utilization_index,
             max_record_age_s=(
                 hardening.max_record_age_s if hardening is not None else None
             ),
@@ -503,6 +502,11 @@ class AdaptiveResourceManager:
         report = self.monitor.classify(
             now, records, self.deadlines, self.assignment, overdue
         )
+        if telemetry.enabled:
+            least = self.system.least_utilized()
+            if least is not None:
+                (min_u,) = self.system.utilizations_of([least.name])
+                telemetry.on_cluster_utilization(now, min_u, least.name)
         if profiler is not None:
             profiler.end(monitor_handle, events=len(report.verdicts))
         d_tracks = self.executor.current_d_tracks
@@ -585,13 +589,6 @@ class AdaptiveResourceManager:
         if profiler is not None:
             profiler.end(place_handle, events=len(outcomes) + len(shutdowns))
 
-        touched = {name for o in outcomes for name in o.added_processors}
-        touched.update(name for _, name in shutdowns)
-        touched.update(
-            target for _, _, target in recoveries if target is not None
-        )
-        self.system.notify_placement_change(touched)
-
         event = RMEvent(
             time=now,
             report=report,
@@ -619,11 +616,6 @@ class AdaptiveResourceManager:
             if self.breaker is not None:
                 telemetry.on_breaker_state(
                     now, self.breaker.state, self.breaker.trips
-                )
-            if self.system.utilization_index is not None:
-                telemetry.on_index_stats(
-                    self.system.engine.now,
-                    self.system.utilization_index.stats.as_dict(),
                 )
             if profiler is not None:
                 step_wall = profiler.end(step_handle, events=1)

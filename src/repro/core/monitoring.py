@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from repro.core.deadlines import DeadlineAssignment
 from repro.errors import ConfigurationError
@@ -29,9 +28,6 @@ from repro.runtime.records import PeriodRecord
 from repro.tasks.model import PeriodicTask
 from repro.tasks.state import ReplicaAssignment
 from repro.telemetry.hub import TelemetryHub
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.cluster.index import UtilizationIndex
 
 
 class MonitorAction(enum.Enum):
@@ -85,11 +81,6 @@ class RuntimeMonitor:
         Optional :class:`~repro.telemetry.hub.TelemetryHub`; every
         monitoring pass reports its verdicts to it (verdict counters and
         the open decision span) when enabled.
-    utilization_index:
-        Optional :class:`~repro.cluster.index.UtilizationIndex`; when
-        both it and telemetry are active, each pass also publishes the
-        exact cluster minimum utilization (an O(log P) index query
-        instead of the O(P) scan a naive gauge would cost).
     max_record_age_s:
         Optional staleness bound (hardened mode, see
         :class:`repro.core.hardening.HardeningConfig`): records whose
@@ -106,7 +97,6 @@ class RuntimeMonitor:
         shutdown_slack_fraction: float = 0.6,
         window: int = 3,
         telemetry: TelemetryHub | None = None,
-        utilization_index: "UtilizationIndex | None" = None,
         max_record_age_s: float | None = None,
     ) -> None:
         if not 0.0 < slack_fraction < 1.0:
@@ -130,7 +120,6 @@ class RuntimeMonitor:
         self.shutdown_slack_fraction = float(shutdown_slack_fraction)
         self.window = int(window)
         self.telemetry = telemetry
-        self.utilization_index = utilization_index
 
     def classify(
         self,
@@ -214,8 +203,4 @@ class RuntimeMonitor:
         report = MonitorReport(time=now, verdicts=tuple(verdicts))
         if self.telemetry is not None and self.telemetry.enabled:
             self.telemetry.on_monitor_report(now, report)
-            if self.utilization_index is not None:
-                found = self.utilization_index.argmin()
-                if found is not None:
-                    self.telemetry.on_cluster_utilization(now, found[0], found[1])
         return report

@@ -55,10 +55,10 @@ class NonPredictivePolicy:
     def replicate(self, request: AllocationRequest) -> AllocationOutcome:
         """Add every below-threshold processor to ``PS(st)``.
 
-        The threshold sweep is served by the utilization index
-        (:meth:`repro.cluster.topology.System.processors_below`), which
-        returns the same processors in the same creation order as the
-        Figure 7 full scan.
+        The threshold sweep is
+        :meth:`repro.cluster.topology.System.processors_below`, which
+        visits processors in creation order like Figure 7's
+        ``for every p in PR`` loop.
         """
         subtask_index = request.subtask_index
         hosting = set(request.assignment.processors_of(subtask_index))

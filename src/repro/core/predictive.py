@@ -119,6 +119,8 @@ class PredictivePolicy:
         one NumPy call when the estimator supports it (bit-identical to
         the scalar loop — see
         :meth:`repro.regression.latency_model.ExecutionLatencyModel.predict_seconds_many`).
+        Replica readings come from the system's per-event memo, the same
+        readings step 3 selected ``p_min`` from.
         """
         subtask_index = request.subtask_index
         replicas = request.assignment.processors_of(subtask_index)
@@ -129,26 +131,18 @@ class PredictivePolicy:
             )
         else:
             ecd = 0.0
+        utilizations = request.system.utilizations_of(
+            replicas, window=self.utilization_window
+        )
         guard = request.reading_guard
+        if guard is not None:
+            utilizations = [guard(u) for u in utilizations]
         batch = getattr(request.estimator, "eex_seconds_many", None)
         if batch is not None:
-            utilizations = [
-                request.system.processor(name).utilization(
-                    window=self.utilization_window
-                )
-                for name in replicas
-            ]
-            if guard is not None:
-                utilizations = [guard(u) for u in utilizations]
             eex_arr = batch(subtask_index, share, utilizations)
             return max(0.0, float(np.max(eex_arr + ecd)))
         worst = 0.0
-        for name in replicas:
-            utilization = request.system.processor(name).utilization(
-                window=self.utilization_window
-            )
-            if guard is not None:
-                utilization = guard(utilization)
+        for utilization in utilizations:
             eex = request.estimator.eex_seconds(subtask_index, share, utilization)
             worst = max(worst, eex + ecd)
         return worst

@@ -100,19 +100,16 @@ class ForecastAwareShutdown:
             ecd = request.estimator.ecd_seconds(
                 subtask_index - 1, share, request.total_periodic_tracks
             )
+        utilizations = request.system.utilizations_of(survivors)
         batch = getattr(request.estimator, "eex_seconds_many", None)
         if batch is not None:
             # One NumPy call covers the whole k-1 survivor sweep
             # (bit-identical to the scalar loop below).
-            utilizations = [
-                request.system.processor(name).utilization() for name in survivors
-            ]
             eex_arr = batch(subtask_index, share, utilizations)
             worst = max(0.0, float(np.max(eex_arr + ecd)))
         else:
             worst = 0.0
-            for name in survivors:
-                utilization = request.system.processor(name).utilization()
+            for utilization in utilizations:
                 eex = request.estimator.eex_seconds(subtask_index, share, utilization)
                 worst = max(worst, eex + ecd)
         if profiler is not None:

@@ -101,24 +101,17 @@ def compute_metrics(
         Measurement interval (usually 0 to ``n_periods * period``).
     index:
         The run's :class:`~repro.experiments.history_index.RunHistoryIndex`,
-        if the caller already maintains one; its accumulated counters
-        replace the full history/record rescans with bit-identical
-        results.  Without it the legacy scans run unchanged.
+        if the caller already maintains one (its accumulated counters are
+        reused); one is built ad hoc otherwise.
     """
     if t_end <= t_start:
         raise ConfigurationError(f"bad measurement interval [{t_start}, {t_end}]")
     span = t_end - t_start
 
-    if index is not None:
-        index.update()
-        released, missed, aborted = index.period_counts(t_end)
-    else:
-        records = [r for r in executor.records if r.release_time < t_end]
-        released = len(records)
-        missed = sum(
-            1 for r in records if r.missed or (not r.completed and not r.aborted)
-        )
-        aborted = sum(1 for r in records if r.aborted)
+    if index is None:
+        index = RunHistoryIndex(executor, manager)
+    index.update()
+    released, missed, aborted = index.period_counts(t_end)
     md = missed / released if released else 0.0
 
     cpu_utils = [
@@ -129,22 +122,10 @@ def compute_metrics(
 
     task = executor.task
     n_replicable = len(task.replicable_indices())
-    if index is not None:
-        mean = index.windowed_replica_mean(t_start, t_end)
-        avg_replicas = (
-            mean if mean is not None
-            else float(executor.assignment.total_replicas())
-        )
-    else:
-        samples = [
-            count
-            for time, count in manager.replica_samples()
-            if t_start <= time < t_end
-        ]
-        if samples:
-            avg_replicas = sum(samples) / len(samples)
-        else:
-            avg_replicas = float(executor.assignment.total_replicas())
+    mean = index.windowed_replica_mean(t_start, t_end)
+    avg_replicas = (
+        mean if mean is not None else float(executor.assignment.total_replicas())
+    )
     max_replicas = system.size * n_replicable
 
     return ExperimentMetrics(
@@ -156,9 +137,7 @@ def compute_metrics(
         periods_released=released,
         periods_missed=missed,
         periods_aborted=aborted,
-        rm_actions=(
-            index.actions_taken() if index is not None else manager.actions_taken()
-        ),
+        rm_actions=index.actions_taken(),
     )
 
 

@@ -316,20 +316,6 @@ class TelemetryHub:
             self.spans.await_realization(forecast)
         return forecast
 
-    def on_index_stats(self, now: float, stats: dict[str, int]) -> None:
-        """Export the utilization index's operation counters.
-
-        ``stats`` are the cumulative counters of
-        :class:`repro.cluster.index.IndexStats` (argmin/threshold
-        queries, re-keys, heap pops, meter reads, refreshes, parks),
-        published as ``cluster.index.*`` gauges so a regression in index
-        efficiency — e.g. meter reads creeping back toward P per query —
-        is visible in existing dashboards.
-        """
-        self._tick(now)
-        for name, value in stats.items():
-            self.registry.gauge(f"cluster.index.{name}").set(value)
-
     def on_cluster_utilization(self, now: float, min_u: float, name: str) -> None:
         """Record the least-utilized processor seen by a monitor pass."""
         self._tick(now)
@@ -462,10 +448,6 @@ class NullTelemetry(TelemetryHub):
 
     def on_period_abort(self, now: float, task: str, record: Any) -> None:
         """Drop the period abort."""
-        return
-
-    def on_index_stats(self, now: float, stats: dict[str, int]) -> None:
-        """Drop the index counters."""
         return
 
     def on_cluster_utilization(self, now: float, min_u: float, name: str) -> None:

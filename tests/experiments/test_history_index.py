@@ -13,7 +13,7 @@ from repro.experiments.config import BaselineConfig
 from repro.experiments.export import rm_history_to_csv
 from repro.experiments.forecast_eval import calibration_from_run
 from repro.experiments.history_index import RunHistoryIndex, decision_event_key
-from repro.experiments.metrics import compute_metrics
+from repro.experiments.metrics import ExperimentMetrics, compute_metrics
 from repro.experiments.timeline import extract_timeline
 from repro.runtime.executor import ExecutorConfig, PeriodicTaskExecutor
 from repro.tasks.state import ReplicaAssignment
@@ -112,6 +112,40 @@ def legacy_action_rows(manager):
     return rows
 
 
+def legacy_metrics(system, executor, manager, t_start, t_end):
+    """The pre-index ``compute_metrics`` record/history rescans (oracle)."""
+    span = t_end - t_start
+    records = [r for r in executor.records if r.release_time < t_end]
+    released = len(records)
+    missed = sum(
+        1 for r in records if r.missed or (not r.completed and not r.aborted)
+    )
+    aborted = sum(1 for r in records if r.aborted)
+    cpu_utils = [
+        p.meter.busy_between(t_start, t_end) / span for p in system.processors
+    ]
+    samples = [
+        count for time, count in manager.replica_samples() if t_start <= time < t_end
+    ]
+    return ExperimentMetrics(
+        missed_deadline_ratio=missed / released if released else 0.0,
+        avg_cpu_utilization=sum(cpu_utils) / len(cpu_utils),
+        avg_network_utilization=(
+            system.network.meter.busy_between(t_start, t_end) / span
+        ),
+        avg_replicas=(
+            sum(samples) / len(samples)
+            if samples
+            else float(executor.assignment.total_replicas())
+        ),
+        max_replicas=system.size * len(executor.task.replicable_indices()),
+        periods_released=released,
+        periods_missed=missed,
+        periods_aborted=aborted,
+        rm_actions=manager.actions_taken(),
+    )
+
+
 class TestViewEquality:
     def test_run_has_decisions_to_index(self, finished_run, index):
         # Guard: an empty history would make every equality vacuous.
@@ -168,11 +202,14 @@ class TestViewEquality:
 class TestConsumerEquality:
     def test_metrics_with_and_without_index_equal(self, finished_run, index):
         system, _, executor, manager, horizon = finished_run
-        legacy = compute_metrics(system, executor, manager, 0.0, horizon)
+        legacy = legacy_metrics(system, executor, manager, 0.0, horizon)
+        adhoc = compute_metrics(system, executor, manager, 0.0, horizon)
         indexed = compute_metrics(
             system, executor, manager, 0.0, horizon, index=index
         )
+        assert adhoc == legacy
         assert indexed == legacy
+        assert legacy.rm_actions > 0
 
     def test_csv_with_and_without_index_byte_identical(
         self, finished_run, index, tmp_path

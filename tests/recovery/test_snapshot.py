@@ -119,6 +119,10 @@ class TestSaveLoad:
                 b"crepro.sim.vector\nVectorizedEngine\n.", id="missing-module"
             ),
             pytest.param(
+                b"crepro.cluster.index\nUtilizationIndex\n.",
+                id="missing-utilization-index",
+            ),
+            pytest.param(
                 b"crepro.sim.engine\nNoSuchEngine\n.", id="missing-class"
             ),
             pytest.param(

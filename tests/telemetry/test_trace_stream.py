@@ -30,7 +30,9 @@ from repro.telemetry.chrome import iter_kinds
 from repro.telemetry.sinks import read_jsonl
 
 CLI_TRACE_SHA256 = "4e54db8da06c1893c9a84d89853c81397a0db0a483b7bd5dae1f447b10f2d7ff"
-CLI_METRICS_SHA256 = "cb721e34bbf91f3b330c193254b38e4339afcee644d3141c4b7a59657949d33e"
+# Re-pinned when the utilization index was deleted: the file is the
+# previous one minus its seven ``cluster.index.*`` gauges, byte for byte.
+CLI_METRICS_SHA256 = "448ad50f93a5ddb8d2262776ff90d34a627f14485327a6da63ad8d7884fa99b2"
 FAILOVER_TRACE_SHA256 = (
     "f57cf3155a1908149d6a4ed96119e10e006686daa70e5abd09161164e90323eb"
 )

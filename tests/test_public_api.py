@@ -118,6 +118,21 @@ class TestDeprecatedNames:
         assert alias is repro.api.Engine
         assert "VectorizedEngine" not in module.__all__
 
+    @pytest.mark.parametrize("name", ["UtilizationIndex", "IndexStats"])
+    @pytest.mark.parametrize("module", [repro, repro.api], ids=["root", "api"])
+    def test_utilization_index_names_point_at_system(self, module, name):
+        with pytest.warns(DeprecationWarning, match="repro.api.System") as caught:
+            alias = getattr(module, name)
+        assert alias is repro.api.System
+        assert "least_utilized" in str(caught[0].message)
+        assert name not in module.__all__
+
+    def test_utilization_index_left_the_cluster_package(self):
+        import repro.cluster
+
+        assert not hasattr(repro.cluster, "UtilizationIndex")
+        assert not hasattr(repro.cluster, "IndexStats")
+
     def test_unknown_attribute_still_raises(self):
         with pytest.raises(AttributeError):
             repro.nonsense_name
