@@ -1,9 +1,9 @@
 """E-ZOO — the allocator zoo scored against the CPU oracle.
 
 Sweeps the policy × workload-pattern × chaos-scenario matrix over the
-two paper policies (lifted through
-:class:`~repro.core.allocation.CandidatePolicyAdapter`) and the three
-cycle-scoped allocators (``market``, ``fairshare``, ``oracle``), turning
+two paper policies (per-candidate
+:class:`~repro.core.allocation.CandidatePolicyAdapter` subclasses) and
+the three cycle-scoped allocators (``market``, ``fairshare``, ``oracle``), turning
 each cell group's combined metric C into per-policy *regret* against the
 oracle via :func:`repro.experiments.metrics.regret_by_policy`.  The
 report lands in ``benchmarks/out/BENCH_allocator_zoo.json``.

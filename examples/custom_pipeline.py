@@ -20,9 +20,10 @@ from dataclasses import dataclass
 
 from repro.api import (
     AdaptiveResourceManager,
+    AllocationContext,
     AllocationOutcome,
-    AllocationRequest,
     BurstyPattern,
+    CandidatePolicyAdapter,
     LinearServiceModel,
     PeriodicTaskExecutor,
     PredictivePolicy,
@@ -62,26 +63,29 @@ def build_video_task():
 
 
 @dataclass(frozen=True)
-class BudgetedPredictivePolicy:
-    """Figure 5's loop with a hard cap on replicas per subtask."""
+class BudgetedPredictivePolicy(CandidatePolicyAdapter):
+    """Figure 5's loop with a hard cap on replicas per subtask.
+
+    Subclassing :class:`CandidatePolicyAdapter` means implementing
+    ``replicate`` for one candidate; the inherited ``allocate`` runs it
+    once per candidate of each monitoring cycle.
+    """
 
     max_replicas: int = 3
     inner: PredictivePolicy = PredictivePolicy(slack_fraction=0.2)
     name: str = "budgeted-predictive"
 
-    def replicate(self, request: AllocationRequest) -> AllocationOutcome:
-        before = request.assignment.replica_count(request.subtask_index)
-        if before >= self.max_replicas:
-            return AllocationOutcome(
-                subtask_index=request.subtask_index, success=False
-            )
-        outcome = self.inner.replicate(request)
+    def replicate(
+        self, context: AllocationContext, subtask_index: int
+    ) -> AllocationOutcome:
+        assignment = context.assignment
+        if assignment.replica_count(subtask_index) >= self.max_replicas:
+            return AllocationOutcome(subtask_index=subtask_index, success=False)
+        outcome = self.inner.replicate(context, subtask_index)
         # Trim anything beyond the budget (keeps the cap hard).
         removed = 0
-        while request.assignment.replica_count(request.subtask_index) > (
-            self.max_replicas
-        ):
-            request.assignment.remove_last_replica(request.subtask_index)
+        while assignment.replica_count(subtask_index) > self.max_replicas:
+            assignment.remove_last_replica(subtask_index)
             removed += 1
         kept = outcome.added_processors[: len(outcome.added_processors) - removed]
         return AllocationOutcome(

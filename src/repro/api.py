@@ -67,11 +67,8 @@ from repro.core.allocation import (
     AllocationContext,
     AllocationOutcome,
     AllocationPlan,
-    AllocationRequest,
     Allocator,
     CandidatePolicyAdapter,
-    as_allocator,
-    get_allocator,
     get_policy,
     register_policy,
     registered_policies,
@@ -220,7 +217,6 @@ __all__ = [
     "AllocationContext",
     "AllocationOutcome",
     "AllocationPlan",
-    "AllocationRequest",
     "Allocator",
     "BackgroundLoad",
     "BaselineConfig",
@@ -286,7 +282,6 @@ __all__ = [
     "TimingEstimator",
     "TrackStreamGenerator",
     "aaw_task",
-    "as_allocator",
     "assign_deadlines",
     "build_system",
     "check_schema_version",
@@ -299,7 +294,6 @@ __all__ = [
     "fit_estimator",
     "format_sparkline",
     "format_table",
-    "get_allocator",
     "get_policy",
     "get_scenario",
     "latency_model_from_dict",
@@ -356,6 +350,16 @@ _DEPRECATED_NAMES: dict[str, tuple[str, str]] = {
         "System.least_utilized/processors_below/mean_utilization select "
         "from one memoized reading per processor per event; there are no "
         "index counters left to export",
+    ),
+    "get_allocator": (
+        "get_policy",
+        "every registered policy is an Allocator, so get_policy returns "
+        "one ready to run",
+    ),
+    "AllocationRequest": (
+        "AllocationContext",
+        "per-candidate policies implement replicate(context, "
+        "subtask_index) on the cycle's one AllocationContext",
     ),
 }
 

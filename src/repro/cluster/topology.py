@@ -40,7 +40,7 @@ class System:
     rng:
         Named random streams for all stochastic components.
 
-    Every default-window ``ut(p, t)`` the resource manager acts on comes
+    Every ``ut(p, t)`` the resource manager acts on comes
     from one memo: a ``{name: p.utilization()}`` dict in creation order,
     taken at most once per engine event.  Simulation time is frozen
     inside an event and windowed utilization is continuous across
@@ -89,15 +89,12 @@ class System:
 
     # -- utilization views ---------------------------------------------------------
 
-    def _readings(self, window: float | None = None) -> dict[str, float]:
+    def _readings(self) -> dict[str, float]:
         """``{name: ut(p, t)}`` in creation order; the one read path.
 
-        The default window is served from the per-event memo (the
-        returned dict is the memo itself: callers must not mutate it);
-        a non-default window reads every meter fresh.
+        Served from the per-event memo (the returned dict is the memo
+        itself: callers must not mutate it).
         """
-        if window is not None:
-            return {p.name: p.utilization(window=window) for p in self.processors}
         engine = self.engine
         key = (engine.now, engine.executed_count)
         if key != self._memo_key:
@@ -105,17 +102,13 @@ class System:
             self._memo_key = key
         return self._memo
 
-    def utilizations(self, window: float | None = None) -> dict[str, float]:
+    def utilizations(self) -> dict[str, float]:
         """``ut(p, t)`` for every processor at the current time (a copy)."""
-        return dict(self._readings(window))
+        return dict(self._readings())
 
-    def utilizations_of(
-        self, names: Iterable[str], window: float | None = None
-    ) -> list[float]:
+    def utilizations_of(self, names: Iterable[str]) -> list[float]:
         """``ut(p, t)`` of the named processors, in the order given, from
         the same readings as the selections below."""
-        if window is not None:
-            return [self.processor(name).utilization(window=window) for name in names]
         readings = self._readings()
         try:
             return [readings[name] for name in names]
@@ -123,7 +116,7 @@ class System:
             raise ClusterError(f"unknown processor {exc.args[0]!r}") from None
 
     def least_utilized(
-        self, exclude: set[str] | frozenset[str] = frozenset(), window: float | None = None
+        self, exclude: set[str] | frozenset[str] = frozenset()
     ) -> Processor | None:
         """The least-utilized *live* processor outside ``exclude``.
 
@@ -131,7 +124,7 @@ class System:
         processors are never candidates.  ``None`` if the exclusion set
         (plus failures) covers every processor.  Ties break by name.
         """
-        readings = self._readings(window)
+        readings = self._readings()
         best = min(
             (
                 (readings[p.name], p.name)
@@ -142,14 +135,12 @@ class System:
         )
         return None if best is None else self._by_name[best[1]]
 
-    def processors_below(
-        self, threshold: float, window: float | None = None
-    ) -> list[Processor]:
+    def processors_below(self, threshold: float) -> list[Processor]:
         """Live processors with ``ut(p, t) < threshold``, in creation order.
 
         This is Figure 7's candidate sweep (``for every p in PR``).
         """
-        readings = self._readings(window)
+        readings = self._readings()
         return [
             p for p in self.processors if not p.failed and readings[p.name] < threshold
         ]

@@ -22,12 +22,8 @@ from repro.core.allocation import (
     AllocationContext,
     AllocationOutcome,
     AllocationPlan,
-    AllocationPolicy,
-    AllocationRequest,
     Allocator,
     CandidatePolicyAdapter,
-    as_allocator,
-    get_allocator,
     get_policy,
     register_policy,
     registered_policies,
@@ -59,8 +55,6 @@ __all__ = [
     "AllocationContext",
     "AllocationOutcome",
     "AllocationPlan",
-    "AllocationPolicy",
-    "AllocationRequest",
     "Allocator",
     "CandidatePolicyAdapter",
     "DataShedder",
@@ -80,9 +74,7 @@ __all__ = [
     "RMConfig",
     "RuntimeMonitor",
     "StaticMaxPolicy",
-    "as_allocator",
     "assign_deadlines",
-    "get_allocator",
     "get_policy",
     "register_policy",
     "registered_policies",

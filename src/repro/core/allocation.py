@@ -1,46 +1,44 @@
-"""The two-level allocation contract (redesign of Figure 1, box 2).
+"""The allocation contract (redesign of Figure 1, box 2).
 
-The paper's step-2 algorithms are strictly *per-candidate*: given one
-replication candidate, decide how many replicas and on which
-processors.  That shape — :class:`AllocationPolicy` with
-``replicate(AllocationRequest) -> AllocationOutcome`` — cannot express
-allocators that must reason over **all** candidates and the whole
-cluster at once (market clearing, dominant-resource fairness, oracle
-planning).  This module layers the contract in two levels:
+Every step-2 algorithm is an :class:`Allocator`: once per monitoring
+cycle it receives one :class:`AllocationContext` — every replication
+candidate the monitor flagged, the live placement, the cluster, the
+estimator, the stage budgets, and the hardened loop's exclusions and
+reading guard — and returns an :class:`AllocationPlan` with one
+:class:`AllocationOutcome` per candidate.  The
+:class:`~repro.core.manager.AdaptiveResourceManager`, the registry and
+the shutdown strategies all take this one context type.
 
-**Level 1 — per-candidate** (the paper's shape, unchanged):
-:class:`AllocationRequest` / :class:`AllocationOutcome` /
-:class:`AllocationPolicy`.  Figure 5 and Figure 7 live here, as do all
-user-registered policies written against the historical API.
+The paper's algorithms are *per-candidate*: given one replication
+candidate, decide how many replicas and on which processors.  They
+subclass :class:`CandidatePolicyAdapter`, implement
+``replicate(context, subtask_index)`` (Figure 5, Figure 7, and the
+extra policies) and inherit ``allocate`` — the one candidate-order
+loop, which keeps their decisions bit-identical to the historical
+control loop (pinned by
+``tests/integration/test_allocator_digest_equivalence.py``).
+Allocators that reason over all candidates at once (market clearing,
+dominant-resource fairness, oracle planning — :mod:`repro.core.zoo`)
+implement ``allocate`` directly.
 
-**Level 2 — per-cycle**: an :class:`Allocator` receives one
-:class:`AllocationContext` per monitoring cycle — every replication
-candidate the monitor flagged, the full utilization snapshot (the
-system's per-event readings, the same ones the paper policies see), the
-estimator, the stage budgets, and the hardened loop's exclusions — and
-returns an :class:`AllocationPlan`.  The
-:class:`~repro.core.manager.AdaptiveResourceManager` drives level 2
-exclusively.
-
-:class:`CandidatePolicyAdapter` lifts any level-1 policy into level 2
-by replaying the manager's historical candidate loop, so predictive and
-non-predictive runs keep **bit-identical decision digests** through the
-redesign (pinned by ``tests/integration/test_allocator_digest_equivalence.py``).
+:meth:`AllocationContext.forecast_latency` is the one worst-replica
+forecast (``max eex + ecd`` over a replica set, eqs. 3-6): Figure 5,
+the forecast-aware shutdown and the zoo's market and fair-share
+allocators all call it, so every caller sees the same guarded readings.
 
 A registry maps names (``"predictive"``, ``"market"``, ...) to
-factories so experiment configs select allocators by string;
-:func:`get_allocator` instantiates and lifts in one step.
-
-This module is the canonical home of every name that used to live in
-``repro.core.allocator``; the old module path keeps working behind
-:class:`DeprecationWarning` shims.
+factories so experiment configs select allocators by string.
 """
 
 from __future__ import annotations
 
 import inspect
+from abc import ABC, abstractmethod
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Callable, Protocol, Union, runtime_checkable
+from typing import Callable, Protocol, runtime_checkable
+
+import numpy as np
 
 from repro.cluster.processor import Processor
 from repro.cluster.topology import System
@@ -49,55 +47,6 @@ from repro.errors import AllocationError
 from repro.regression.estimator import TimingEstimator
 from repro.tasks.model import PeriodicTask
 from repro.tasks.state import ReplicaAssignment
-
-
-# -- level 1: the per-candidate contract (the paper's shape) ---------------------
-
-
-@dataclass(frozen=True)
-class AllocationRequest:
-    """Everything a policy may consult when handling one candidate.
-
-    Attributes
-    ----------
-    task / subtask_index:
-        The replication candidate.
-    assignment:
-        Live placement; policies mutate it via its invariant-checked API.
-    system:
-        The cluster (source of ``ut(p, t)`` readings).
-    estimator:
-        Regression-backed ``eex``/``ecd`` (the predictive policy's
-        forecasting oracle; the non-predictive policy ignores it).
-    deadlines:
-        Current per-stage budgets.
-    d_tracks:
-        ``ds(T, c)``: data items in the current period.
-    total_periodic_tracks:
-        Total workload across all tasks this period (drives eq. 5).
-    excluded_processors:
-        Processors the hardened loop has ruled out this cycle (repeat
-        offenders, implausible readings — see
-        :class:`repro.core.hardening.PlacementGuard`).  Policies must
-        not place replicas there; empty in the unhardened loop.
-    reading_guard:
-        Optional sanitizer applied to every utilization reading a
-        policy feeds into the regression models (the hardened loop
-        installs :func:`repro.core.hardening.sanitize_reading`;
-        ``None`` — the unhardened default — uses readings verbatim).
-    """
-
-    task: PeriodicTask
-    subtask_index: int
-    assignment: ReplicaAssignment
-    system: System
-    estimator: TimingEstimator
-    deadlines: DeadlineAssignment
-    d_tracks: float
-    total_periodic_tracks: float
-    excluded_processors: frozenset[str] = frozenset()
-    reading_guard: Callable[[float], float] | None = None
-
 
 @dataclass(frozen=True)
 class AllocationOutcome:
@@ -120,43 +69,47 @@ class AllocationOutcome:
         return bool(self.added_processors)
 
 
-class AllocationPolicy(Protocol):
-    """Level-1 (per-candidate) step-2 algorithm interface."""
-
-    name: str
-
-    def replicate(self, request: AllocationRequest) -> AllocationOutcome:
-        """Handle one replication candidate (Figure 5 / Figure 7)."""
-        ...
-
-
-# -- level 2: the per-cycle contract ---------------------------------------------
-
-
 @dataclass(frozen=True)
 class AllocationContext:
     """One monitoring cycle's whole allocation problem.
 
-    Everything a cycle-scoped allocator may consult: the candidates the
-    monitor flagged REPLICATE (in verdict order, post backoff filter),
-    the live placement, the cluster, the estimator, the stage budgets,
-    the current workload, and the hardened loop's exclusions.
-
     Attributes
     ----------
+    task:
+        The task whose subtasks are being placed.
+    assignment:
+        Live placement; allocators mutate it via its invariant-checked
+        API.
+    system:
+        The cluster (source of ``ut(p, t)`` readings).
+    estimator:
+        Regression-backed ``eex``/``ecd`` (the forecasting oracle; the
+        non-predictive policy ignores it).
+    deadlines:
+        Current per-stage budgets.
+    d_tracks:
+        ``ds(T, c)``: data items in the current period.
+    total_periodic_tracks:
+        Total workload across all tasks this period (drives eq. 5).
     candidates:
         Subtask indices flagged REPLICATE this cycle, in monitor
-        verdict order.  Per-candidate adapters consume them in exactly
-        this order — that is what keeps the historical policies
-        bit-identical.
+        verdict order (post backoff filter).  Per-candidate policies
+        consume them in exactly this order — that is what keeps the
+        historical policies bit-identical.
+    excluded_processors:
+        Processors the hardened loop has ruled out this cycle (repeat
+        offenders, implausible readings — see
+        :class:`repro.core.hardening.PlacementGuard`).  Allocators must
+        not place replicas there; empty in the unhardened loop.
+    reading_guard:
+        Optional sanitizer applied to every utilization reading fed
+        into the regression models (the hardened loop installs
+        :func:`repro.core.hardening.sanitize_reading`; ``None`` — the
+        unhardened default — uses readings verbatim).
     cycle:
         The RM step index (``len(manager.history)`` at step time).
     now:
         Simulation time of the step.
-
-    The remaining fields carry the same payload as
-    :class:`AllocationRequest` (which :meth:`request_for` derives per
-    candidate).
     """
 
     task: PeriodicTask
@@ -172,32 +125,15 @@ class AllocationContext:
     cycle: int = 0
     now: float = 0.0
 
-    def request_for(self, subtask_index: int) -> AllocationRequest:
-        """The level-1 request for one candidate of this cycle."""
-        return AllocationRequest(
-            task=self.task,
-            subtask_index=subtask_index,
-            assignment=self.assignment,
-            system=self.system,
-            estimator=self.estimator,
-            deadlines=self.deadlines,
-            d_tracks=self.d_tracks,
-            total_periodic_tracks=self.total_periodic_tracks,
-            excluded_processors=self.excluded_processors,
-            reading_guard=self.reading_guard,
-        )
-
-    def utilization_snapshot(
-        self, window: float | None = None
-    ) -> dict[str, float]:
+    def utilization_snapshot(self) -> dict[str, float]:
         """``ut(p, t)`` for every processor, reading-guard applied.
 
-        With the default window the snapshot is a copy of the system's
-        per-event readings, the ones the paper policies select from;
-        cycle-scoped allocators price or rank the whole cluster from this
-        one dict instead of issuing per-candidate queries.
+        A copy of the system's per-event readings, the ones the paper
+        policies select from; cycle-scoped allocators price or rank the
+        whole cluster from this one dict instead of issuing
+        per-candidate queries.
         """
-        raw = self.system.utilizations(window=window)
+        raw = self.system.utilizations()
         if self.reading_guard is None:
             return raw
         guard = self.reading_guard
@@ -226,10 +162,39 @@ class AllocationContext:
         budget = self.deadlines.stage_budget(subtask_index)
         return budget - slack_fraction * budget
 
+    def forecast_latency(
+        self, subtask_index: int, replicas: Sequence[str]
+    ) -> float:
+        """Worst replica's forecast ``eex + ecd`` (Figure 5, step 6).
+
+        Each of the ``k`` named replicas processes ``d / k`` items.
+        Execution latency is eq. 3 at the hosting processor's reading —
+        taken from the system's per-event memo and passed through
+        ``reading_guard`` — evaluated for all replicas in one
+        ``eex_seconds_many`` call; the incoming message (eqs. 4-6
+        at the total periodic workload) depends only on the share, so
+        it is added once.  ``replicas`` need not be the current
+        placement: callers evaluate a hypothetical one (one replica
+        more, one fewer) without mutating the assignment.
+        """
+        share = self.d_tracks / len(replicas)
+        if subtask_index > 1:
+            ecd = self.estimator.ecd_seconds(
+                subtask_index - 1, share, self.total_periodic_tracks
+            )
+        else:
+            ecd = 0.0
+        utilizations = self.system.utilizations_of(replicas)
+        guard = self.reading_guard
+        if guard is not None:
+            utilizations = [guard(u) for u in utilizations]
+        eex = self.estimator.eex_seconds_many(subtask_index, share, utilizations)
+        return max(0.0, float(np.max(eex + ecd)))
+
 
 @dataclass(frozen=True)
 class AllocationPlan:
-    """A cycle-scoped allocator's answer: one outcome per candidate.
+    """An allocator's answer: one outcome per candidate.
 
     Outcomes keep candidate order.  ``allocator_name`` records which
     allocator actually produced the plan (the hardened loop's circuit
@@ -254,7 +219,7 @@ class AllocationPlan:
 
 @runtime_checkable
 class Allocator(Protocol):
-    """Level-2 (cycle-scoped) step-2 algorithm interface."""
+    """The step-2 algorithm interface: one call per monitoring cycle."""
 
     name: str
 
@@ -263,65 +228,60 @@ class Allocator(Protocol):
         ...
 
 
-@dataclass(frozen=True)
-class CandidatePolicyAdapter:
-    """Lift a level-1 :class:`AllocationPolicy` into the level-2 contract.
+class CandidatePolicyAdapter(ABC):
+    """Base class of the per-candidate policies.
 
-    Replays the manager's historical loop — one
-    ``policy.replicate(request)`` call per candidate, in candidate
-    order — so adapted policies take bit-identical decisions to the
-    pre-redesign control loop.
+    Subclasses implement :meth:`replicate` for one candidate; the
+    inherited :meth:`allocate` calls it once per candidate, in candidate
+    order — the manager's historical loop — so per-candidate policies
+    take bit-identical decisions to the pre-redesign control loop.
     """
 
-    policy: AllocationPolicy
+    name: str
 
-    @property
-    def name(self) -> str:
-        """The adapted policy's registry name."""
-        return self.policy.name
+    @abstractmethod
+    def replicate(
+        self, context: AllocationContext, subtask_index: int
+    ) -> AllocationOutcome:
+        """Handle one replication candidate (Figure 5 / Figure 7)."""
 
     def allocate(self, context: AllocationContext) -> AllocationPlan:
         """One ``replicate`` call per candidate, in candidate order."""
         outcomes = tuple(
-            self.policy.replicate(context.request_for(subtask_index))
+            self.replicate(context, subtask_index)
             for subtask_index in context.candidates
         )
         return AllocationPlan(outcomes=outcomes, allocator_name=self.name)
 
 
-#: Anything the registry may hand back: either contract level.
-AnyAllocator = Union[Allocator, AllocationPolicy]
+def check_allocator(candidate: object) -> Allocator:
+    """``candidate`` itself, if it implements :class:`Allocator`.
 
-
-def as_allocator(candidate: AnyAllocator) -> Allocator:
-    """Coerce either contract level to a cycle-scoped :class:`Allocator`.
-
-    Level-2 allocators pass through untouched; level-1 policies are
-    wrapped in a :class:`CandidatePolicyAdapter`.  Objects exposing
-    neither ``allocate`` nor ``replicate`` raise
-    :class:`~repro.errors.AllocationError`.
+    Objects without an ``allocate`` method — including pre-context
+    policies that only define ``replicate(request)`` — raise
+    :class:`~repro.errors.AllocationError` pointing at the migration
+    notes, instead of failing later inside an RM step.
     """
-    if hasattr(candidate, "allocate"):
+    if callable(getattr(candidate, "allocate", None)):
         return candidate  # type: ignore[return-value]
-    if hasattr(candidate, "replicate"):
-        return CandidatePolicyAdapter(candidate)  # type: ignore[arg-type]
     raise AllocationError(
-        f"{type(candidate).__name__} implements neither the Allocator nor "
-        "the AllocationPolicy contract (no allocate()/replicate() method)"
+        f"{type(candidate).__name__} has no allocate(context) method; "
+        "per-candidate policies subclass CandidatePolicyAdapter and "
+        "implement replicate(context, subtask_index) — see docs/api.md, "
+        '"Migration from the per-candidate request"'
     )
 
 
 # -- the registry -----------------------------------------------------------------
 
-_REGISTRY: dict[str, Callable[..., AnyAllocator]] = {}
+_REGISTRY: dict[str, Callable[..., Allocator]] = {}
 
 
-def register_policy(name: str, factory: Callable[..., AnyAllocator]) -> None:
+def register_policy(name: str, factory: Callable[..., Allocator]) -> None:
     """Register an allocator factory under ``name``.
 
-    Factories may build either contract level; :func:`get_allocator`
-    lifts level-1 products automatically.  Re-registering the same
-    factory under the same name is a no-op; a different factory raises.
+    Re-registering the same factory under the same name is a no-op; a
+    different factory raises.
     """
     existing = _REGISTRY.get(name)
     if existing is not None and existing is not factory:
@@ -329,7 +289,7 @@ def register_policy(name: str, factory: Callable[..., AnyAllocator]) -> None:
     _REGISTRY[name] = factory
 
 
-def _accepted_kwargs(factory: Callable[..., AnyAllocator]) -> list[str]:
+def _accepted_kwargs(factory: Callable[..., Allocator]) -> list[str]:
     """The keyword parameters a factory's signature accepts."""
     try:
         signature = inspect.signature(factory)
@@ -346,15 +306,14 @@ def _accepted_kwargs(factory: Callable[..., AnyAllocator]) -> list[str]:
     ]
 
 
-def get_policy(name: str, **kwargs: object) -> AnyAllocator:
+def get_policy(name: str, **kwargs: object) -> Allocator:
     """Instantiate a registered allocator factory by name.
 
-    Returns whatever the factory builds (either contract level); use
-    :func:`get_allocator` for a ready-to-run level-2 allocator.  A
-    factory rejecting the keyword arguments surfaces as
+    A factory rejecting the keyword arguments surfaces as
     :class:`~repro.errors.AllocationError` naming the policy and the
     keywords its factory accepts, instead of a bare ``TypeError``
-    traceback from deep inside the constructor.
+    traceback from deep inside the constructor; so does a factory whose
+    product has no ``allocate`` method (see :func:`check_allocator`).
     """
     try:
         factory = _REGISTRY[name]
@@ -363,23 +322,14 @@ def get_policy(name: str, **kwargs: object) -> AnyAllocator:
             f"unknown policy {name!r}; registered: {sorted(_REGISTRY)}"
         ) from None
     try:
-        return factory(**kwargs)
+        policy = factory(**kwargs)
     except TypeError as exc:
         accepted = _accepted_kwargs(factory)
         raise AllocationError(
             f"policy {name!r} rejected keyword(s) {sorted(kwargs)}: {exc}; "
             f"accepted keyword(s): {accepted}"
         ) from exc
-
-
-def get_allocator(name: str, **kwargs: object) -> Allocator:
-    """Instantiate a registered allocator, lifted to the level-2 contract.
-
-    ``get_allocator("predictive")`` returns the Figure 5 policy wrapped
-    in a :class:`CandidatePolicyAdapter`; ``get_allocator("market")``
-    returns the cycle-scoped market allocator directly.
-    """
-    return as_allocator(get_policy(name, **kwargs))
+    return check_allocator(policy)
 
 
 def registered_policies() -> tuple[str, ...]:

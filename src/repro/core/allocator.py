@@ -2,10 +2,12 @@
 
 Everything that used to live here moved to :mod:`repro.core.allocation`
 when the API grew the cycle-scoped :class:`~repro.core.allocation.Allocator`
-level.  Every old spelling keeps working through the PEP 562 hook below
-— ``from repro.core.allocator import get_policy`` still imports, with a
-:class:`DeprecationWarning` pointing at the new home — following the
-same shim pattern as PR 4's ``fit_estimator`` merge.
+contract.  The per-candidate policy protocol and its request type are
+gone (per-candidate policies subclass
+:class:`~repro.core.allocation.CandidatePolicyAdapter`); every other old
+spelling keeps working through the PEP 562 hook below — ``from
+repro.core.allocator import get_policy`` still imports, with a
+:class:`DeprecationWarning` pointing at the new home.
 
 New code should import from :mod:`repro.core.allocation` (or the
 :mod:`repro.api` facade); the ``repro lint`` API-DEPRECATED rule keeps
@@ -20,8 +22,6 @@ from typing import Any
 #: Names re-exported from :mod:`repro.core.allocation` with a warning.
 _MOVED = (
     "AllocationOutcome",
-    "AllocationPolicy",
-    "AllocationRequest",
     "get_policy",
     "register_policy",
     "registered_policies",

@@ -23,8 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.allocation import (
+    AllocationContext,
     AllocationOutcome,
-    AllocationRequest,
+    CandidatePolicyAdapter,
     register_policy,
 )
 from repro.core.nonpredictive import NonPredictivePolicy
@@ -32,43 +33,43 @@ from repro.core.predictive import PredictivePolicy
 
 
 @dataclass(frozen=True)
-class NoAdaptationPolicy:
+class NoAdaptationPolicy(CandidatePolicyAdapter):
     """Never replicate; candidates are acknowledged and ignored."""
 
     name: str = "noadapt"
 
-    def replicate(self, request: AllocationRequest) -> AllocationOutcome:
+    def replicate(
+        self, context: AllocationContext, subtask_index: int
+    ) -> AllocationOutcome:
         """Report FAILURE without touching the placement."""
-        return AllocationOutcome(
-            subtask_index=request.subtask_index, success=False
-        )
+        return AllocationOutcome(subtask_index=subtask_index, success=False)
 
 
 @dataclass(frozen=True)
-class StaticMaxPolicy:
+class StaticMaxPolicy(CandidatePolicyAdapter):
     """Replicate a candidate onto every remaining processor."""
 
     name: str = "staticmax"
 
-    def replicate(self, request: AllocationRequest) -> AllocationOutcome:
+    def replicate(
+        self, context: AllocationContext, subtask_index: int
+    ) -> AllocationOutcome:
         """Grab the whole machine for the candidate subtask."""
-        hosting = set(request.assignment.processors_of(request.subtask_index))
+        hosting = set(context.assignment.processors_of(subtask_index))
         added: list[str] = []
-        for processor in request.system.live_processors():
+        for processor in context.system.live_processors():
             if processor.name not in hosting:
-                request.assignment.add_replica(
-                    request.subtask_index, processor.name
-                )
+                context.assignment.add_replica(subtask_index, processor.name)
                 added.append(processor.name)
         return AllocationOutcome(
-            subtask_index=request.subtask_index,
+            subtask_index=subtask_index,
             success=True,
             added_processors=tuple(added),
         )
 
 
 @dataclass(frozen=True)
-class HybridPolicy:
+class HybridPolicy(CandidatePolicyAdapter):
     """Figure 5 first; Figure 7 to mop up if the forecast is unreachable.
 
     When the predictive loop exhausts the machine without satisfying the
@@ -84,14 +85,16 @@ class HybridPolicy:
     fallback: NonPredictivePolicy = field(default_factory=NonPredictivePolicy)
     name: str = "hybrid"
 
-    def replicate(self, request: AllocationRequest) -> AllocationOutcome:
+    def replicate(
+        self, context: AllocationContext, subtask_index: int
+    ) -> AllocationOutcome:
         """Forecast-driven growth with a heuristic fallback."""
-        outcome = self.predictive.replicate(request)
+        outcome = self.predictive.replicate(context, subtask_index)
         if outcome.success:
             return outcome
-        fallback_outcome = self.fallback.replicate(request)
+        fallback_outcome = self.fallback.replicate(context, subtask_index)
         return AllocationOutcome(
-            subtask_index=request.subtask_index,
+            subtask_index=subtask_index,
             success=fallback_outcome.success,
             added_processors=outcome.added_processors
             + fallback_outcome.added_processors,

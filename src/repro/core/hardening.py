@@ -28,10 +28,12 @@ leaves every decision sequence bit-identical to the unhardened loop):
 
 :func:`sanitize_reading` is the last line of defense: the hardened
 manager installs it as the
-:attr:`~repro.core.allocation.AllocationRequest.reading_guard`, so a
+:attr:`~repro.core.allocation.AllocationContext.reading_guard`, so a
 corrupted reading that slips past the placement guard (e.g. on a
 processor that already hosts a replica) is clamped before it can reach
-the regression models.
+the regression models — in every allocator and in the forecast-aware
+shutdown, which all forecast through
+:meth:`~repro.core.allocation.AllocationContext.forecast_latency`.
 """
 
 from __future__ import annotations

@@ -9,10 +9,12 @@ allocation takes effect immediately) the manager:
    every replicable subtask;
 3. bundles every REPLICATE candidate into one cycle-scoped
    :class:`~repro.core.allocation.AllocationContext` and hands it to the
-   configured :class:`~repro.core.allocation.Allocator` (per-candidate
-   policies — predictive Figure 5, non-predictive Figure 7 — ride
-   through :class:`~repro.core.allocation.CandidatePolicyAdapter`);
-   each SHUTDOWN candidate goes to Figure 6's LIFO de-allocation;
+   configured :class:`~repro.core.allocation.Allocator` (the
+   per-candidate policies — predictive Figure 5, non-predictive
+   Figure 7 — inherit the candidate loop from
+   :class:`~repro.core.allocation.CandidatePolicyAdapter`); each
+   SHUTDOWN candidate goes, with the same context, to the shutdown
+   strategy (Figure 6's LIFO de-allocation by default);
 4. re-assigns the EQF deadlines whenever the placement changed (§4.1:
    "at each time a resource management action ... is taken, the subtask
    deadlines are re-assigned"), feeding the estimator with *current*
@@ -32,8 +34,7 @@ from repro.core.allocation import (
     AllocationContext,
     AllocationOutcome,
     Allocator,
-    AnyAllocator,
-    as_allocator,
+    check_allocator,
 )
 from repro.core.deadlines import DeadlineAssignment, assign_deadlines
 from repro.core.hardening import (
@@ -152,22 +153,19 @@ class AdaptiveResourceManager:
         system: System,
         executor: PeriodicTaskExecutor,
         estimator: TimingEstimator,
-        policy: AnyAllocator,
+        policy: Allocator,
         config: RMConfig | None = None,
         shutdown_strategy: ShutdownStrategy | None = None,
         total_workload_fn: "Callable[[], float] | None" = None,
         hardening: HardeningConfig | None = None,
-        fallback_policy: AnyAllocator | None = None,
+        fallback_policy: Allocator | None = None,
     ) -> None:
         self.system = system
         self.executor = executor
         self.task = executor.task
         self.assignment: ReplicaAssignment = executor.assignment
         self.estimator = estimator
-        # Either contract level is accepted; the manager itself drives
-        # the cycle-scoped Allocator interface exclusively.
-        self.policy = policy
-        self.allocator: Allocator = as_allocator(policy)
+        self.policy: Allocator = check_allocator(policy)
         self.config = config if config is not None else RMConfig()
         self.shutdown_strategy: ShutdownStrategy = (
             shutdown_strategy if shutdown_strategy is not None else LifoShutdown()
@@ -179,19 +177,17 @@ class AdaptiveResourceManager:
         self.guard: PlacementGuard | None = None
         self.backoff: AllocationBackoff | None = None
         self.breaker: ForecastCircuitBreaker | None = None
-        self.fallback_policy: AnyAllocator | None = None
-        self.fallback_allocator: Allocator | None = None
+        self.fallback_policy: Allocator | None = None
         if hardening is not None:
             self.guard = PlacementGuard(system, hardening)
             self.backoff = AllocationBackoff(hardening)
             if getattr(policy, "name", "") != "nonpredictive":
                 self.breaker = ForecastCircuitBreaker(hardening)
                 self.fallback_policy = (
-                    fallback_policy
+                    check_allocator(fallback_policy)
                     if fallback_policy is not None
                     else NonPredictivePolicy()
                 )
-                self.fallback_allocator = as_allocator(self.fallback_policy)
         #: Accepted Figure 5 forecasts awaiting realization, keyed by
         #: ``(subtask_index, replica_count)`` — the same matching rule
         #: telemetry spans use.
@@ -520,14 +516,14 @@ class AdaptiveResourceManager:
         total_tracks = max(total_tracks, d_tracks)
 
         excluded: frozenset[str] = frozenset()
-        active: Allocator = self.allocator
+        active: Allocator = self.policy
         if self.hardening is not None:
             assert self.guard is not None
             self.guard.observe(now)
             excluded = self.guard.excluded(now)
             if self.breaker is not None and not self.breaker.allow_predictive(now):
-                assert self.fallback_allocator is not None
-                active = self.fallback_allocator
+                assert self.fallback_policy is not None
+                active = self.fallback_policy
 
         reading_guard = None
         if self.hardening is not None:
@@ -582,7 +578,7 @@ class AdaptiveResourceManager:
                 self._pending_forecasts[key] = outcome.forecast_latency
         for verdict in report.candidates(MonitorAction.SHUTDOWN):
             removed = self.shutdown_strategy.shutdown(
-                context.request_for(verdict.subtask_index)
+                context, verdict.subtask_index
             )
             if removed is not None:
                 shutdowns.append((verdict.subtask_index, removed))

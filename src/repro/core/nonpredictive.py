@@ -21,15 +21,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.allocation import (
+    AllocationContext,
     AllocationOutcome,
-    AllocationRequest,
+    CandidatePolicyAdapter,
     register_policy,
 )
 from repro.errors import ConfigurationError
 
 
 @dataclass(frozen=True)
-class NonPredictivePolicy:
+class NonPredictivePolicy(CandidatePolicyAdapter):
     """Figure 7, parameterized by the utilization threshold ``UT``.
 
     Attributes
@@ -37,12 +38,9 @@ class NonPredictivePolicy:
     utilization_threshold:
         ``UT``: processors at or above this busy fraction are considered
         highly utilized and skipped (Table 1: 0.20).
-    utilization_window:
-        Optional override of the window used to read ``ut(p, t)``.
     """
 
     utilization_threshold: float = 0.20
-    utilization_window: float | None = None
     name: str = "nonpredictive"
 
     def __post_init__(self) -> None:
@@ -52,7 +50,9 @@ class NonPredictivePolicy:
                 f"{self.utilization_threshold}"
             )
 
-    def replicate(self, request: AllocationRequest) -> AllocationOutcome:
+    def replicate(
+        self, context: AllocationContext, subtask_index: int
+    ) -> AllocationOutcome:
         """Add every below-threshold processor to ``PS(st)``.
 
         The threshold sweep is
@@ -60,18 +60,16 @@ class NonPredictivePolicy:
         visits processors in creation order like Figure 7's
         ``for every p in PR`` loop.
         """
-        subtask_index = request.subtask_index
-        hosting = set(request.assignment.processors_of(subtask_index))
+        hosting = set(context.assignment.processors_of(subtask_index))
         added: list[str] = []
-        below = request.system.processors_below(
-            self.utilization_threshold, window=self.utilization_window
-        )
-        for processor in below:
+        for processor in context.system.processors_below(
+            self.utilization_threshold
+        ):
             if (
                 processor.name not in hosting
-                and processor.name not in request.excluded_processors
+                and processor.name not in context.excluded_processors
             ):
-                request.assignment.add_replica(subtask_index, processor.name)
+                context.assignment.add_replica(subtask_index, processor.name)
                 added.append(processor.name)
         # Figure 7 has no failure branch; the heuristic always "succeeds".
         return AllocationOutcome(

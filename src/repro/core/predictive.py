@@ -22,30 +22,26 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.core.allocation import (
+    AllocationContext,
     AllocationOutcome,
-    AllocationRequest,
+    CandidatePolicyAdapter,
     register_policy,
 )
 from repro.errors import ConfigurationError
 
 
 @dataclass(frozen=True)
-class PredictivePolicy:
+class PredictivePolicy(CandidatePolicyAdapter):
     """Figure 5, parameterized by the desired slack fraction.
 
     Attributes
     ----------
     slack_fraction:
         ``sl`` as a fraction of the stage budget (paper: 0.2).
-    utilization_window:
-        Optional override of the window used to read ``ut(p, t)``.
     """
 
     slack_fraction: float = 0.2
-    utilization_window: float | None = None
     name: str = "predictive"
 
     def __post_init__(self) -> None:
@@ -54,24 +50,26 @@ class PredictivePolicy:
                 f"slack_fraction must be in [0, 1), got {self.slack_fraction}"
             )
 
-    def replicate(self, request: AllocationRequest) -> AllocationOutcome:
-        """Grow ``PS(st)`` until the forecast satisfies the budget."""
-        subtask_index = request.subtask_index
-        budget = request.deadlines.stage_budget(subtask_index)
-        threshold = budget - self.slack_fraction * budget
+    def replicate(
+        self, context: AllocationContext, subtask_index: int
+    ) -> AllocationOutcome:
+        """Grow ``PS(st)`` until the forecast satisfies the budget.
+
+        Step 6's forecast is :meth:`AllocationContext.forecast_latency`
+        over the current replica set, read from the same per-event
+        readings step 3 selected ``p_min`` from.
+        """
+        assignment = context.assignment
+        threshold = context.stage_threshold(subtask_index, self.slack_fraction)
         added: list[str] = []
         worst_forecast: float | None = None
-        telemetry = request.system.engine.telemetry
+        telemetry = context.system.engine.telemetry
 
         while True:
-            hosting = set(request.assignment.processors_of(subtask_index))
-            exclude = (
-                hosting | request.excluded_processors
-                if request.excluded_processors
-                else hosting
-            )
-            candidate = request.system.least_utilized(
-                exclude=exclude, window=self.utilization_window
+            candidate = context.system.least_utilized(
+                exclude=context.excluded_processors.union(
+                    assignment.processors_of(subtask_index)
+                )
             )
             if candidate is None:
                 # Step 2: PT is empty -> FAILURE (added replicas stay).
@@ -81,23 +79,21 @@ class PredictivePolicy:
                     added_processors=tuple(added),
                     forecast_latency=worst_forecast,
                 )
-            request.assignment.add_replica(subtask_index, candidate.name)
+            assignment.add_replica(subtask_index, candidate.name)
             added.append(candidate.name)
+            replicas = assignment.processors_of(subtask_index)
             profiler = telemetry.profiler if telemetry.enabled else None
             if profiler is not None:
                 handle = profiler.begin("rm.forecast")
-            worst_forecast = self._forecast_worst_replica(request)
+            worst_forecast = context.forecast_latency(subtask_index, replicas)
             if profiler is not None:
-                profiler.end(
-                    handle,
-                    events=request.assignment.replica_count(subtask_index),
-                )
+                profiler.end(handle, events=len(replicas))
             accepted = worst_forecast <= threshold
             if telemetry.enabled:
                 telemetry.on_forecast(
-                    request.system.engine.now,
+                    context.system.engine.now,
                     subtask_index,
-                    request.assignment.replica_count(subtask_index),
+                    len(replicas),
                     worst_forecast,
                     threshold,
                     accepted,
@@ -110,42 +106,6 @@ class PredictivePolicy:
                     forecast_latency=worst_forecast,
                 )
             # Step 6.6.1: forecast too slow -> add another replica.
-
-    def _forecast_worst_replica(self, request: AllocationRequest) -> float:
-        """Max forecast ``eex + ecd`` over the current replica set (step 6).
-
-        ``ecd`` depends only on the share and the total workload, so it
-        is evaluated once; the per-replica ``eex`` sweep is batched into
-        one NumPy call when the estimator supports it (bit-identical to
-        the scalar loop — see
-        :meth:`repro.regression.latency_model.ExecutionLatencyModel.predict_seconds_many`).
-        Replica readings come from the system's per-event memo, the same
-        readings step 3 selected ``p_min`` from.
-        """
-        subtask_index = request.subtask_index
-        replicas = request.assignment.processors_of(subtask_index)
-        share = request.d_tracks / len(replicas)
-        if subtask_index > 1:
-            ecd = request.estimator.ecd_seconds(
-                subtask_index - 1, share, request.total_periodic_tracks
-            )
-        else:
-            ecd = 0.0
-        utilizations = request.system.utilizations_of(
-            replicas, window=self.utilization_window
-        )
-        guard = request.reading_guard
-        if guard is not None:
-            utilizations = [guard(u) for u in utilizations]
-        batch = getattr(request.estimator, "eex_seconds_many", None)
-        if batch is not None:
-            eex_arr = batch(subtask_index, share, utilizations)
-            return max(0.0, float(np.max(eex_arr + ecd)))
-        worst = 0.0
-        for utilization in utilizations:
-            eex = request.estimator.eex_seconds(subtask_index, share, utilization)
-            worst = max(worst, eex + ecd)
-        return worst
 
 
 register_policy("predictive", PredictivePolicy)

@@ -17,12 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Protocol
 
-import numpy as np
-
 from repro.tasks.state import ReplicaAssignment
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.allocation import AllocationRequest
+    from repro.core.allocation import AllocationContext
 
 
 def shut_down_a_replica(
@@ -42,7 +40,9 @@ class ShutdownStrategy(Protocol):
 
     name: str
 
-    def shutdown(self, request: "AllocationRequest") -> str | None:
+    def shutdown(
+        self, context: "AllocationContext", subtask_index: int
+    ) -> str | None:
         """Possibly remove one replica; return the freed processor."""
         ...
 
@@ -53,9 +53,11 @@ class LifoShutdown:
 
     name: str = "lifo"
 
-    def shutdown(self, request: "AllocationRequest") -> str | None:
+    def shutdown(
+        self, context: "AllocationContext", subtask_index: int
+    ) -> str | None:
         """Remove the newest replica of the candidate subtask."""
-        return shut_down_a_replica(request.assignment, request.subtask_index)
+        return shut_down_a_replica(context.assignment, subtask_index)
 
 
 @dataclass(frozen=True)
@@ -67,9 +69,11 @@ class ForecastAwareShutdown:
     triggers a shutdown whose effect only shows at the next peak, where
     the subtask misses and is re-replicated.  This strategy simulates
     the removal first: it forecasts every remaining replica's latency
-    (eq. 3 + eq. 4 at current conditions, exactly the Figure 5 check)
-    for the ``k - 1``-replica configuration and proceeds only if the
-    forecast still clears the stage budget with the desired slack.
+    for the ``k - 1``-replica configuration with
+    :meth:`~repro.core.allocation.AllocationContext.forecast_latency` —
+    exactly the Figure 5 check, reading guard included — and proceeds
+    only if the forecast still clears the stage budget with the desired
+    slack.
 
     Attributes
     ----------
@@ -80,40 +84,21 @@ class ForecastAwareShutdown:
     slack_fraction: float = 0.2
     name: str = "forecast-aware"
 
-    def shutdown(self, request: "AllocationRequest") -> str | None:
+    def shutdown(
+        self, context: "AllocationContext", subtask_index: int
+    ) -> str | None:
         """Remove the newest replica iff the k-1 forecast stays timely."""
-        assignment = request.assignment
-        subtask_index = request.subtask_index
-        count = assignment.replica_count(subtask_index)
-        if count <= 1:
+        assignment = context.assignment
+        if assignment.replica_count(subtask_index) <= 1:
             return None
-        telemetry = request.system.engine.telemetry
+        telemetry = context.system.engine.telemetry
         profiler = telemetry.profiler if telemetry.enabled else None
         if profiler is not None:
             handle = profiler.begin("rm.forecast")
         survivors = assignment.processors_of(subtask_index)[:-1]
-        share = request.d_tracks / len(survivors)
-        budget = request.deadlines.stage_budget(subtask_index)
-        threshold = budget - self.slack_fraction * budget
-        ecd = 0.0
-        if subtask_index > 1:
-            ecd = request.estimator.ecd_seconds(
-                subtask_index - 1, share, request.total_periodic_tracks
-            )
-        utilizations = request.system.utilizations_of(survivors)
-        batch = getattr(request.estimator, "eex_seconds_many", None)
-        if batch is not None:
-            # One NumPy call covers the whole k-1 survivor sweep
-            # (bit-identical to the scalar loop below).
-            eex_arr = batch(subtask_index, share, utilizations)
-            worst = max(0.0, float(np.max(eex_arr + ecd)))
-        else:
-            worst = 0.0
-            for utilization in utilizations:
-                eex = request.estimator.eex_seconds(subtask_index, share, utilization)
-                worst = max(worst, eex + ecd)
+        worst = context.forecast_latency(subtask_index, survivors)
         if profiler is not None:
             profiler.end(handle, events=len(survivors))
-        if worst > threshold:
+        if worst > context.stage_threshold(subtask_index, self.slack_fraction):
             return None  # removing would (per the model) break timeliness
         return assignment.remove_last_replica(subtask_index)

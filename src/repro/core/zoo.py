@@ -1,7 +1,7 @@
 """Competing cycle-scoped allocators — the allocator zoo (ROADMAP item 2).
 
 The paper only ever compares two step-2 algorithms, both per-candidate.
-The two-level :class:`~repro.core.allocation.Allocator` contract makes
+The cycle-scoped :class:`~repro.core.allocation.Allocator` contract makes
 room for designs that must reason over *all* replication candidates and
 the whole cluster at once; this module ships three such baselines:
 
@@ -26,7 +26,10 @@ the whole cluster at once; this module ships three such baselines:
 
 All three consume only the :class:`~repro.core.allocation.AllocationContext`
 surface — the one utilization snapshot per cycle, the candidate list,
-the hardened loop's exclusions — and are exactly as deterministic as
+the hardened loop's exclusions, and (market and fair-share) the one
+guarded worst-replica forecast
+:meth:`~repro.core.allocation.AllocationContext.forecast_latency` that
+Figure 5 uses — and are exactly as deterministic as
 the paper policies: no RNG, ties broken by candidate order and
 processor creation order.
 """
@@ -34,6 +37,7 @@ processor creation order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.cluster.processor import Processor
 from repro.core.allocation import (
@@ -49,50 +53,11 @@ from repro.errors import ConfigurationError
 _SATURATION_EPS = 0.05
 
 
-def _forecast_latency(
-    context: AllocationContext,
-    subtask_index: int,
-    snapshot: dict[str, float],
-    extra_processor: str | None = None,
-) -> float:
-    """Worst replica's forecast ``eex + ecd`` against a fixed snapshot.
-
-    Same regression models as Figure 5 (eq. 3 for execution, eqs. 4-6
-    for the incoming message), but every utilization reading comes from
-    the cycle's one :meth:`AllocationContext.utilization_snapshot` —
-    cycle-scoped allocators price and rank from a consistent view
-    instead of issuing per-step queries.  ``extra_processor`` evaluates
-    a hypothetical placement without mutating the assignment.
-    """
-    replicas = list(context.assignment.processors_of(subtask_index))
-    if extra_processor is not None:
-        replicas.append(extra_processor)
-    share = context.d_tracks / len(replicas)
-    if subtask_index > 1:
-        ecd = context.estimator.ecd_seconds(
-            subtask_index - 1, share, context.total_periodic_tracks
-        )
-    else:
-        ecd = 0.0
-    worst = 0.0
-    for name in replicas:
-        utilization = snapshot.get(name, 0.0)
-        eex = context.estimator.eex_seconds(subtask_index, share, utilization)
-        worst = max(worst, eex + ecd)
-    return max(0.0, worst)
-
-
-def _least_utilized(
-    processors: list[Processor], snapshot: dict[str, float]
+def _cheapest(
+    processors: list[Processor], cost: dict[str, float]
 ) -> Processor | None:
-    """Cheapest-by-utilization processor, ties by creation order."""
-    best: Processor | None = None
-    best_key: tuple[float, int] | None = None
-    for position, processor in enumerate(processors):
-        key = (snapshot.get(processor.name, 0.0), position)
-        if best_key is None or key < best_key:
-            best, best_key = processor, key
-    return best
+    """Lowest-cost processor (by utilization or price), ties by creation order."""
+    return min(processors, key=lambda processor: cost[processor.name], default=None)
 
 
 @dataclass
@@ -108,6 +73,29 @@ class _CandidateState:
     def satisfied(self) -> bool:
         """Whether the current forecast fits within the slack target."""
         return self.forecast <= self.threshold
+
+
+def _current_forecast(context: AllocationContext, subtask_index: int) -> float:
+    """:meth:`AllocationContext.forecast_latency` at the current placement."""
+    return context.forecast_latency(
+        subtask_index, context.assignment.processors_of(subtask_index)
+    )
+
+
+def _initial_states(
+    context: AllocationContext,
+    slack_fraction: float,
+    forecast: Callable[[AllocationContext, int], float] = _current_forecast,
+) -> list[_CandidateState]:
+    """One clearing state per candidate at the current placement."""
+    return [
+        _CandidateState(
+            subtask_index=subtask_index,
+            threshold=context.stage_threshold(subtask_index, slack_fraction),
+            forecast=forecast(context, subtask_index),
+        )
+        for subtask_index in context.candidates
+    ]
 
 
 def _plan_from_states(
@@ -187,32 +175,22 @@ class MarketAllocator:
             name: 1.0 / max(self.price_floor, 1.0 - min(utilization, 1.0))
             for name, utilization in snapshot.items()
         }
-        states = [
-            _CandidateState(
-                subtask_index=subtask_index,
-                threshold=context.stage_threshold(
-                    subtask_index, self.slack_fraction
-                ),
-                forecast=_forecast_latency(context, subtask_index, snapshot),
-            )
-            for subtask_index in context.candidates
-        ]
+        states = _initial_states(context, self.slack_fraction)
         for _ in range(self.max_rounds):
             bids: list[tuple[float, int, _CandidateState, Processor, float]] = []
             for order, state in enumerate(states):
                 if state.satisfied:
                     continue
                 available = context.available_processors(state.subtask_index)
-                cheapest = None
-                cheapest_key: tuple[float, int] | None = None
-                for position, processor in enumerate(available):
-                    key = (prices.get(processor.name, 1.0), position)
-                    if cheapest_key is None or key < cheapest_key:
-                        cheapest, cheapest_key = processor, key
+                cheapest = _cheapest(available, prices)
                 if cheapest is None:
                     continue
-                trial = _forecast_latency(
-                    context, state.subtask_index, snapshot, cheapest.name
+                trial = context.forecast_latency(
+                    state.subtask_index,
+                    (
+                        *context.assignment.processors_of(state.subtask_index),
+                        cheapest.name,
+                    ),
                 )
                 benefit = max(0.0, state.forecast - trial)
                 price = prices.get(cheapest.name, 1.0)
@@ -298,16 +276,7 @@ class FairShareAllocator:
         """Progressive filling in dominant-share order."""
         snapshot = context.utilization_snapshot()
         live_count = len(context.system.live_processors())
-        states = [
-            _CandidateState(
-                subtask_index=subtask_index,
-                threshold=context.stage_threshold(
-                    subtask_index, self.slack_fraction
-                ),
-                forecast=_forecast_latency(context, subtask_index, snapshot),
-            )
-            for subtask_index in context.candidates
-        ]
+        states = _initial_states(context, self.slack_fraction)
         for _ in range(self.max_rounds):
             grantable = [
                 (order, state)
@@ -327,13 +296,11 @@ class FairShareAllocator:
                 ),
             )
             available = context.available_processors(state.subtask_index)
-            target = _least_utilized(available, snapshot)
+            target = _cheapest(available, snapshot)
             assert target is not None  # grantable guarantees availability
             context.assignment.add_replica(state.subtask_index, target.name)
             state.added.append(target.name)
-            state.forecast = _forecast_latency(
-                context, state.subtask_index, snapshot
-            )
+            state.forecast = _current_forecast(context, state.subtask_index)
         return _plan_from_states(states, self.name)
 
 
@@ -403,20 +370,18 @@ class OracleAllocator:
     def allocate(self, context: AllocationContext) -> AllocationPlan:
         """Grow each candidate until the true forecast fits the budget."""
         snapshot = context.utilization_snapshot()
-        states: list[_CandidateState] = []
-        for subtask_index in context.candidates:
-            state = _CandidateState(
-                subtask_index=subtask_index,
-                threshold=context.stage_threshold(
-                    subtask_index, self.slack_fraction
-                ),
-                forecast=self._true_latency(context, subtask_index, snapshot),
-            )
+        states = _initial_states(
+            context,
+            self.slack_fraction,
+            lambda context, index: self._true_latency(context, index, snapshot),
+        )
+        for state in states:
+            subtask_index = state.subtask_index
             for _ in range(self.max_rounds):
                 if state.satisfied:
                     break
                 available = context.available_processors(subtask_index)
-                target = _least_utilized(available, snapshot)
+                target = _cheapest(available, snapshot)
                 if target is None:
                     break
                 context.assignment.add_replica(subtask_index, target.name)
@@ -424,7 +389,6 @@ class OracleAllocator:
                 state.forecast = self._true_latency(
                     context, subtask_index, snapshot
                 )
-            states.append(state)
         return _plan_from_states(states, self.name)
 
 

@@ -134,8 +134,10 @@ class RunWorld:
 def _make_policy(config: ExperimentConfig):
     """Instantiate the configured step-2 allocator with Table 1 parameters.
 
-    Returns either contract level — the manager lifts per-candidate
-    policies through :func:`repro.core.allocation.as_allocator`.
+    Every registered policy is an :class:`~repro.core.allocation.Allocator`
+    the manager runs as is; user-registered names come from
+    :func:`~repro.core.allocation.get_policy`, which rejects factories
+    whose product has no ``allocate`` method.
     """
     if config.policy == "predictive":
         return PredictivePolicy(slack_fraction=config.baseline.slack_fraction)

@@ -35,30 +35,30 @@ from tests.conftest import exact_estimator
 # -- the fresh-read oracle ----------------------------------------------------
 
 
-def least_utilized_scan(system, exclude=frozenset(), window=None):
+def least_utilized_scan(system, exclude=frozenset()):
     """Reference O(P) ``p_min``: re-reads every live candidate's meter."""
     candidates = [
         p for p in system.processors if p.name not in exclude and not p.failed
     ]
     if not candidates:
         return None
-    return min(candidates, key=lambda p: (p.utilization(window=window), p.name))
+    return min(candidates, key=lambda p: (p.utilization(), p.name))
 
 
-def processors_below_scan(system, threshold, window=None):
+def processors_below_scan(system, threshold):
     """Reference O(P) threshold sweep in creation order, fresh reads."""
     return [
         p
         for p in system.processors
-        if not p.failed and p.utilization(window=window) < threshold
+        if not p.failed and p.utilization() < threshold
     ]
 
 
 class FreshReadSystem(System):
     """A system whose readings (and so ``utilizations()``) never memoize."""
 
-    def _readings(self, window=None):
-        return {p.name: p.utilization(window=window) for p in self.processors}
+    def _readings(self):
+        return {p.name: p.utilization() for p in self.processors}
 
 
 def assert_queries_match(system, exclude=frozenset(), thresholds=(0.1, 0.2, 0.5)):
@@ -148,25 +148,6 @@ class TestSelectionAgainstScan:
         for _ in range(4):
             names = [p.name for p in system.processors_below(0.9)]
             assert len(names) == len(set(names))
-
-    def test_nondefault_window_reads_fresh(self):
-        system = build_system(n_processors=6, clock_sync_enabled=False)
-        system.processors[3].run_for(0.5)
-        system.engine.run_until(1.0)
-        system.least_utilized()  # warm the default-window memo
-        # window=2.0 reads a different history than the memo holds; the
-        # same selection code must read the meters fresh instead.
-        got = system.least_utilized(window=2.0)
-        want = least_utilized_scan(system, window=2.0)
-        assert got is not None and want is not None
-        assert got.name == want.name
-        assert system.utilizations_of(["p4", "p1"], window=2.0) == [
-            system.processors[3].utilization(window=2.0),
-            system.processors[0].utilization(window=2.0),
-        ]
-        assert [p.name for p in system.processors_below(0.3, window=0.75)] == [
-            p.name for p in processors_below_scan(system, 0.3, window=0.75)
-        ]
 
 
 class TestFailuresAndRecovery:
@@ -283,8 +264,6 @@ class TestPerEventMemo:
         system = build_system(n_processors=3, clock_sync_enabled=False)
         with pytest.raises(ClusterError, match="p9"):
             system.utilizations_of(["p1", "p9"])
-        with pytest.raises(ClusterError, match="p9"):
-            system.utilizations_of(["p9"], window=1.0)
 
     def test_utilizations_returns_a_copy(self):
         system = build_system(n_processors=3, clock_sync_enabled=False)

@@ -1,9 +1,9 @@
-"""Unit tests for the two-level allocation contract.
+"""Unit tests for the allocation contract.
 
-Covers the cycle-scoped :class:`AllocationContext` /
-:class:`AllocationPlan` surface, the :class:`CandidatePolicyAdapter`
-lift, the registry's error wrapping, and the deprecated
-``repro.core.allocator`` module shim.
+Covers the :class:`AllocationContext` / :class:`AllocationPlan` surface
+(including the one worst-replica forecast), the
+:class:`CandidatePolicyAdapter` base class, the registry's error
+wrapping, and the deprecated ``repro.core.allocator`` module shim.
 """
 
 from __future__ import annotations
@@ -18,13 +18,13 @@ from repro.core.allocation import (
     AllocationPlan,
     Allocator,
     CandidatePolicyAdapter,
-    as_allocator,
-    get_allocator,
+    check_allocator,
     get_policy,
     register_policy,
     registered_policies,
 )
 from repro.core.deadlines import DeadlineAssignment
+from repro.core.hardening import sanitize_reading
 from repro.core.nonpredictive import NonPredictivePolicy
 from repro.core.predictive import PredictivePolicy
 from repro.errors import AllocationError
@@ -59,14 +59,6 @@ def make_context(candidates=(3,), d_tracks=5000.0, budget=0.35, n_processors=6,
 
 
 class TestAllocationContext:
-    def test_request_for_carries_cycle_payload(self):
-        context = make_context(excluded=frozenset({"p5"}))
-        request = context.request_for(3)
-        assert request.subtask_index == 3
-        assert request.d_tracks == context.d_tracks
-        assert request.excluded_processors == frozenset({"p5"})
-        assert request.assignment is context.assignment
-
     def test_utilization_snapshot_covers_cluster(self):
         context = make_context()
         snapshot = context.utilization_snapshot()
@@ -100,6 +92,69 @@ class TestAllocationContext:
         assert context.stage_threshold(3, 0.2) == pytest.approx(0.4)
 
 
+class TestForecastLatency:
+    """The one worst-replica ``eex + ecd`` sweep (Figure 5, step 6)."""
+
+    def scalar_forecast(self, context, subtask_index, replicas, readings):
+        """Eqs. 3-6 one replica at a time, from the given readings."""
+        share = context.d_tracks / len(replicas)
+        ecd = 0.0
+        if subtask_index > 1:
+            ecd = context.estimator.ecd_seconds(
+                subtask_index - 1, share, context.total_periodic_tracks
+            )
+        worst = 0.0
+        for name in replicas:
+            eex = context.estimator.eex_seconds(
+                subtask_index, share, readings[name]
+            )
+            worst = max(worst, eex + ecd)
+        return worst
+
+    def test_matches_the_scalar_sweep(self):
+        context = make_context()
+        context.system.processor("p2").reading_fault = lambda u: 0.35
+        replicas = ("p3", "p2", "p6")
+        readings = context.system.utilizations()
+        assert context.forecast_latency(3, replicas) == self.scalar_forecast(
+            context, 3, replicas, readings
+        )
+
+    def test_evaluates_a_hypothetical_placement_without_mutating(self):
+        context = make_context()
+        before = context.assignment.processors_of(3)
+        one_more = context.forecast_latency(3, (*before, "p6"))
+        assert context.assignment.processors_of(3) == before
+        assert one_more < context.forecast_latency(3, before)
+
+    def test_first_stage_has_no_incoming_message(self):
+        context = make_context()
+        replicas = context.assignment.processors_of(1)
+        share = context.d_tracks / len(replicas)
+        expected = max(
+            context.estimator.eex_seconds(1, share, 0.0), 0.0
+        )
+        assert context.forecast_latency(1, replicas) == expected
+
+    def test_applies_the_reading_guard(self):
+        context = make_context()
+        context.system.processor("p3").reading_fault = lambda u: -1.0
+        guarded = AllocationContext(
+            task=context.task,
+            assignment=context.assignment,
+            system=context.system,
+            estimator=context.estimator,
+            deadlines=context.deadlines,
+            d_tracks=context.d_tracks,
+            total_periodic_tracks=context.total_periodic_tracks,
+            reading_guard=lambda reading: sanitize_reading(reading, 0.1),
+        )
+        replicas = ("p3", "p4")
+        assert guarded.forecast_latency(3, replicas) == self.scalar_forecast(
+            context, 3, replicas, {"p3": 0.0, "p4": 0.0}
+        )
+
+
 class TestAllocationPlan:
     def test_changed_and_lookup(self):
         plan = AllocationPlan(
@@ -122,42 +177,49 @@ class TestCandidatePolicyAdapter:
     def test_adapter_replays_candidates_in_order(self):
         seen = []
 
-        class Recorder:
+        class Recorder(CandidatePolicyAdapter):
             name = "recorder"
 
-            def replicate(self, request):
-                seen.append(request.subtask_index)
+            def replicate(self, context, subtask_index):
+                seen.append(subtask_index)
                 return AllocationOutcome(
-                    subtask_index=request.subtask_index, success=True
+                    subtask_index=subtask_index, success=True
                 )
 
         context = make_context(candidates=(5, 3))
-        plan = CandidatePolicyAdapter(Recorder()).allocate(context)
+        plan = Recorder().allocate(context)
         assert seen == [5, 3]
         assert [o.subtask_index for o in plan.outcomes] == [5, 3]
         assert plan.allocator_name == "recorder"
 
     def test_adapter_matches_direct_policy_calls(self):
-        """The lift is the historical loop: same outcomes, same placement."""
+        """``allocate`` is the historical loop: same outcomes, same placement."""
         direct = make_context()
         policy = PredictivePolicy(slack_fraction=0.2)
-        direct_outcome = policy.replicate(direct.request_for(3))
+        direct_outcome = policy.replicate(direct, 3)
 
-        lifted = make_context()
-        plan = as_allocator(PredictivePolicy(slack_fraction=0.2)).allocate(lifted)
+        looped = make_context()
+        plan = PredictivePolicy(slack_fraction=0.2).allocate(looped)
         assert plan.outcomes == (direct_outcome,)
-        assert lifted.assignment.processors_of(3) == direct.assignment.processors_of(3)
+        assert looped.assignment.processors_of(3) == direct.assignment.processors_of(3)
 
-    def test_as_allocator_passes_level2_through(self):
-        adapter = CandidatePolicyAdapter(NonPredictivePolicy())
-        assert as_allocator(adapter) is adapter
+    def test_check_allocator_passes_through(self):
+        policy = NonPredictivePolicy()
+        assert check_allocator(policy) is policy
 
-    def test_as_allocator_rejects_foreign_objects(self):
-        with pytest.raises(AllocationError, match="neither"):
-            as_allocator(object())
+    def test_check_allocator_rejects_foreign(self):
+        with pytest.raises(AllocationError, match="Migration from the per-candidate"):
+            check_allocator(object())
 
     def test_adapter_satisfies_allocator_protocol(self):
-        assert isinstance(CandidatePolicyAdapter(NonPredictivePolicy()), Allocator)
+        assert isinstance(NonPredictivePolicy(), Allocator)
+
+    def test_adapter_requires_replicate(self):
+        class Incomplete(CandidatePolicyAdapter):
+            name = "incomplete"
+
+        with pytest.raises(TypeError):
+            Incomplete()
 
 
 class TestRegistryErrors:
@@ -188,15 +250,47 @@ class TestRegistryErrors:
             allocation._REGISTRY.pop("exploding-test", None)
 
     def test_get_allocator_lifts_level1_policies(self):
+        """The deprecated alias still serves per-candidate policies."""
+        from repro import api
+
+        with pytest.warns(DeprecationWarning, match="get_allocator"):
+            get_allocator = api.get_allocator
         allocator = get_allocator("predictive", slack_fraction=0.3)
         assert isinstance(allocator, CandidatePolicyAdapter)
         assert allocator.name == "predictive"
 
     def test_get_allocator_returns_level2_directly(self):
+        from repro import api
         from repro.core.zoo import MarketAllocator
 
+        with pytest.warns(DeprecationWarning, match="get_allocator"):
+            get_allocator = api.get_allocator
         allocator = get_allocator("market")
         assert isinstance(allocator, MarketAllocator)
+
+    def test_get_policy_returns_allocators_ready_to_run(self):
+        from repro.core.zoo import MarketAllocator
+
+        predictive = get_policy("predictive", slack_fraction=0.3)
+        assert isinstance(predictive, PredictivePolicy)
+        assert predictive.slack_fraction == 0.3
+        assert isinstance(get_policy("market"), MarketAllocator)
+
+    def test_factory_without_allocate_rejected_at_lookup(self):
+        class PreContextPolicy:
+            name = "pre-context"
+
+            def replicate(self, request):  # the removed per-candidate shape
+                raise AssertionError("never called")
+
+        register_policy("pre-context-test", PreContextPolicy)
+        try:
+            with pytest.raises(AllocationError, match="allocate"):
+                get_policy("pre-context-test")
+        finally:
+            from repro.core import allocation
+
+            allocation._REGISTRY.pop("pre-context-test", None)
 
     def test_zoo_registered(self):
         assert {"market", "fairshare", "oracle"} <= set(registered_policies())
@@ -208,8 +302,6 @@ class TestDeprecatedModuleShim:
 
         for name in (
             "AllocationOutcome",
-            "AllocationPolicy",
-            "AllocationRequest",
             "get_policy",
             "register_policy",
             "registered_policies",
@@ -225,3 +317,12 @@ class TestDeprecatedModuleShim:
 
         with pytest.raises(AttributeError):
             old.no_such_name
+
+    @pytest.mark.parametrize("name", ["AllocationPolicy", "AllocationRequest"])
+    def test_removed_per_candidate_types_are_gone(self, name):
+        import repro.core.allocator as old
+        from repro.core import allocation
+
+        with pytest.raises(AttributeError):
+            getattr(old, name)
+        assert not hasattr(allocation, name)

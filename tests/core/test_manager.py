@@ -9,7 +9,8 @@ from repro.cluster.topology import build_system
 from repro.core.manager import AdaptiveResourceManager, RMConfig
 from repro.core.nonpredictive import NonPredictivePolicy
 from repro.core.predictive import PredictivePolicy
-from repro.errors import ConfigurationError
+from repro.core.hardening import HardeningConfig
+from repro.errors import AllocationError, ConfigurationError
 from repro.runtime.executor import PeriodicTaskExecutor
 from repro.tasks.state import ReplicaAssignment
 
@@ -46,6 +47,41 @@ class TestRMConfig:
     def test_bad_deadline_reference_rejected(self):
         with pytest.raises(ConfigurationError):
             RMConfig(deadline_reference="magic")
+
+
+class PreContextPolicy:
+    """The removed per-candidate shape: ``replicate(request)``, no ``allocate``."""
+
+    name = "pre-context"
+
+    def replicate(self, request):
+        raise AssertionError("never called")
+
+
+class TestPolicyValidation:
+    def test_policy_without_allocate_rejected_at_construction(self):
+        with pytest.raises(AllocationError, match="Migration from the per-candidate"):
+            make_stack(PreContextPolicy(), lambda c: 500.0)
+
+    def test_fallback_without_allocate_rejected_at_construction(self):
+        system = build_system(n_processors=6, seed=0)
+        task = aaw_task(noise_sigma=0.0)
+        placement = default_initial_placement(
+            task, [p.name for p in system.processors]
+        )
+        executor = PeriodicTaskExecutor(
+            system, task, ReplicaAssignment(task, placement),
+            workload=lambda c: 500.0,
+        )
+        with pytest.raises(AllocationError, match="allocate"):
+            AdaptiveResourceManager(
+                system,
+                executor,
+                exact_estimator(task),
+                policy=PredictivePolicy(),
+                hardening=HardeningConfig(),
+                fallback_policy=PreContextPolicy(),
+            )
 
 
 class TestInitialDeadlines:

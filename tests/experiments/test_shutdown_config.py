@@ -43,3 +43,24 @@ def test_forecast_aware_never_shuts_down_into_infeasibility(fitted_estimator):
     )
     result = run_experiment(config, estimator=fitted_estimator)
     assert result.metrics.missed_deadline_ratio <= 0.25
+
+
+def test_hardened_forecast_aware_survives_corrupt_readings(fitted_estimator):
+    """The hardened loop's reading guard covers the k-1 forecast too.
+
+    Under ``corrupt_readings`` a survivor's reading can leave [0, 1];
+    the forecast-aware strategy must sanitize it like Figure 5 does
+    instead of feeding it to eq. 3 (which raises ``RegressionError``).
+    """
+    config = ExperimentConfig(
+        policy="predictive",
+        pattern="triangular",
+        max_workload_units=15.0,
+        baseline=BaselineConfig(
+            n_periods=30, seed=5, shutdown_strategy="forecast_aware"
+        ),
+        chaos_scenario="corrupt_readings",
+        hardened=True,
+    )
+    result = run_experiment(config, estimator=fitted_estimator)
+    assert result.metrics.periods_released == 30

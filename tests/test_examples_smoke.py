@@ -1,9 +1,10 @@
 """Smoke tests for the example scripts.
 
-Every example must at least compile and expose a ``main`` entry point;
-the quickstart (the one a new user runs first) is executed end to end.
-The heavier examples are exercised by the manual/e2e flow and the bench
-suite covers their underlying APIs.
+Every example must at least compile and expose a ``main`` entry point.
+The quickstart (the one a new user runs first) and the custom pipeline
+(the worked example of writing a per-candidate policy) are executed end
+to end.  The heavier examples are exercised by the manual/e2e flow and
+the bench suite covers their underlying APIs.
 """
 
 from __future__ import annotations
@@ -50,3 +51,16 @@ def test_quickstart_runs_end_to_end():
     assert completed.returncode == 0, completed.stderr
     assert "combined metric C" in completed.stdout
     assert "Final replica placement" in completed.stdout
+
+
+def test_custom_pipeline_runs_end_to_end():
+    completed = subprocess.run(
+        [sys.executable, str(EXAMPLES_DIR / "custom_pipeline.py")],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert "deadlines missed" in completed.stdout
+    assert "(cap 3 per subtask)" in completed.stdout
+    assert "Final placement" in completed.stdout

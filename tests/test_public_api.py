@@ -133,6 +133,33 @@ class TestDeprecatedNames:
         assert not hasattr(repro.cluster, "UtilizationIndex")
         assert not hasattr(repro.cluster, "IndexStats")
 
+    @pytest.mark.parametrize(
+        "name,replacement",
+        [("get_allocator", "get_policy"), ("AllocationRequest", "AllocationContext")],
+    )
+    @pytest.mark.parametrize("module", [repro, repro.api], ids=["root", "api"])
+    def test_allocation_names_point_at_the_one_contract(
+        self, module, name, replacement
+    ):
+        with pytest.warns(
+            DeprecationWarning, match=f"repro.api.{replacement}"
+        ):
+            alias = getattr(module, name)
+        assert alias is getattr(repro.api, replacement)
+        assert name not in module.__all__
+
+    def test_annotation_only_imports_of_allocation_request_keep_working(self):
+        with pytest.warns(DeprecationWarning, match="AllocationContext"):
+            from repro.api import AllocationRequest
+        assert AllocationRequest is repro.api.AllocationContext
+
+    def test_as_allocator_left_with_no_alias(self):
+        assert "as_allocator" not in repro.api.__all__
+        with pytest.raises(AttributeError):
+            repro.api.as_allocator
+        with pytest.raises(AttributeError):
+            repro.as_allocator
+
     def test_unknown_attribute_still_raises(self):
         with pytest.raises(AttributeError):
             repro.nonsense_name
