@@ -342,14 +342,16 @@ _DEPRECATED_NAMES: dict[str, tuple[str, str]] = {
     ),
     "UtilizationIndex": (
         "System",
-        "System.least_utilized/processors_below/mean_utilization select "
-        "from one memoized reading per processor per event",
+        "System.least_utilized/by_utilization/processors_below/"
+        "mean_utilization select from one memoized reading per processor "
+        "per event, walked in (ut, name) order sorted once per event",
     ),
     "IndexStats": (
         "System",
-        "System.least_utilized/processors_below/mean_utilization select "
-        "from one memoized reading per processor per event; there are no "
-        "index counters left to export",
+        "System.least_utilized/by_utilization/processors_below/"
+        "mean_utilization select from one memoized reading per processor "
+        "per event, walked in (ut, name) order sorted once per event; "
+        "there are no index counters left to export",
     ),
     "get_allocator": (
         "get_policy",

@@ -18,8 +18,9 @@ and NTP-style synchronized clocks.
 * :class:`~repro.cluster.clock.NodeClock` / ``ClockSyncService`` —
   bounded-offset clock model standing in for [Mills95] NTP.
 * :class:`~repro.cluster.topology.System` — the assembled machine; its
-  utilization views (``least_utilized``, ``processors_below``,
-  ``mean_utilization``) read each processor once per engine event.
+  utilization views (``by_utilization``, ``least_utilized``,
+  ``processors_below``, ``mean_utilization``) read each processor once
+  per engine event, and the ``(ut, name)`` order is sorted once per event.
 """
 
 from repro.cluster.background import BackgroundLoad

@@ -7,7 +7,7 @@ that the task executor, the profiler, and the resource manager all share.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 from repro.cluster.clock import ClockSyncService, NodeClock
@@ -47,7 +47,9 @@ class System:
     same-instant busy/idle transitions, so one reading per processor per
     event is exact; keying the memo on the executed-event count as well
     as the time means a reading fault set by one event is seen by the
-    next event at the same instant.
+    next event at the same instant.  ``p_min`` selections walk the same
+    readings sorted by ``(ut, name)``, cached per readings dict, so the
+    order is rebuilt with every new memo and never outlives it.
     """
 
     engine: Engine
@@ -60,6 +62,10 @@ class System:
     _by_name: dict[str, Processor] = field(init=False, repr=False)
     _memo_key: tuple[float, int] | None = field(init=False, repr=False, default=None)
     _memo: dict[str, float] = field(init=False, repr=False, default_factory=dict)
+    _order_of: dict[str, float] | None = field(init=False, repr=False, default=None)
+    _order: list[tuple[float, str]] = field(
+        init=False, repr=False, default_factory=list
+    )
 
     def __post_init__(self) -> None:
         self._by_name = {p.name: p for p in self.processors}
@@ -115,25 +121,38 @@ class System:
         except KeyError as exc:
             raise ClusterError(f"unknown processor {exc.args[0]!r}") from None
 
+    def by_utilization(
+        self, exclude: set[str] | frozenset[str] = frozenset()
+    ) -> Iterator[tuple[float, str]]:
+        """``(ut(p, t), name)`` of the live processors outside ``exclude``,
+        least utilized first, ties by name.
+
+        Figure 5's successive ``p_min`` picks in one walk: readings are
+        frozen within an event, so each pick is the next entry past the
+        ones before it.  Lazy: ``failed`` is checked as each processor
+        is reached, so a walk sees every failure made before that point.
+        """
+        readings = self._readings()
+        if readings is not self._order_of:
+            self._order = sorted((u, name) for name, u in readings.items())
+            self._order_of = readings
+        by_name = self._by_name
+        for entry in self._order:
+            name = entry[1]
+            if name not in exclude and not by_name[name].failed:
+                yield entry
+
     def least_utilized(
         self, exclude: set[str] | frozenset[str] = frozenset()
     ) -> Processor | None:
         """The least-utilized *live* processor outside ``exclude``.
 
-        This is step 3 of the paper's Figure 5 (``p_min``); failed
-        processors are never candidates.  ``None`` if the exclusion set
-        (plus failures) covers every processor.  Ties break by name.
+        This is step 3 of the paper's Figure 5 (``p_min``): the head of
+        :meth:`by_utilization`.  ``None`` if the exclusion set (plus
+        failures) covers every processor.
         """
-        readings = self._readings()
-        best = min(
-            (
-                (readings[p.name], p.name)
-                for p in self.processors
-                if not p.failed and p.name not in exclude
-            ),
-            default=None,
-        )
-        return None if best is None else self._by_name[best[1]]
+        head = next(self.by_utilization(exclude), None)
+        return None if head is None else self._by_name[head[1]]
 
     def processors_below(self, threshold: float) -> list[Processor]:
         """Live processors with ``ut(p, t) < threshold``, in creation order.

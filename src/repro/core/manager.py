@@ -499,10 +499,10 @@ class AdaptiveResourceManager:
             now, records, self.deadlines, self.assignment, overdue
         )
         if telemetry.enabled:
-            least = self.system.least_utilized()
-            if least is not None:
-                (min_u,) = self.system.utilizations_of([least.name])
-                telemetry.on_cluster_utilization(now, min_u, least.name)
+            head = next(self.system.by_utilization(), None)
+            if head is not None:
+                min_u, name = head
+                telemetry.on_cluster_utilization(now, min_u, name)
         if profiler is not None:
             profiler.end(monitor_handle, events=len(report.verdicts))
         d_tracks = self.executor.current_d_tracks

@@ -65,22 +65,14 @@ class PredictivePolicy(CandidatePolicyAdapter):
         worst_forecast: float | None = None
         telemetry = context.system.engine.telemetry
 
-        while True:
-            candidate = context.system.least_utilized(
-                exclude=context.excluded_processors.union(
-                    assignment.processors_of(subtask_index)
-                )
-            )
-            if candidate is None:
-                # Step 2: PT is empty -> FAILURE (added replicas stay).
-                return AllocationOutcome(
-                    subtask_index=subtask_index,
-                    success=False,
-                    added_processors=tuple(added),
-                    forecast_latency=worst_forecast,
-                )
-            assignment.add_replica(subtask_index, candidate.name)
-            added.append(candidate.name)
+        # Readings are frozen within the decision and every pick is the
+        # head of the order past the picks before it: one walk serves all.
+        blocked = context.excluded_processors.union(
+            assignment.processors_of(subtask_index)
+        )
+        for _, name in context.system.by_utilization(blocked):
+            assignment.add_replica(subtask_index, name)
+            added.append(name)
             replicas = assignment.processors_of(subtask_index)
             profiler = telemetry.profiler if telemetry.enabled else None
             if profiler is not None:
@@ -106,6 +98,13 @@ class PredictivePolicy(CandidatePolicyAdapter):
                     forecast_latency=worst_forecast,
                 )
             # Step 6.6.1: forecast too slow -> add another replica.
+        # Step 2: PT is empty -> FAILURE (added replicas stay).
+        return AllocationOutcome(
+            subtask_index=subtask_index,
+            success=False,
+            added_processors=tuple(added),
+            forecast_latency=worst_forecast,
+        )
 
 
 register_policy("predictive", PredictivePolicy)

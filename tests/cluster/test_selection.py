@@ -1,21 +1,26 @@
 """Tests for the utilization views of :class:`~repro.cluster.topology.System`.
 
-``least_utilized`` (Figure 5 step 3), ``processors_below`` (Figure 7's
-sweep) and ``mean_utilization`` select from one memoized reading per
-processor per engine event.  Three families of guarantees:
+``by_utilization`` (Figure 5's walk), ``least_utilized`` (its head,
+Figure 5 step 3), ``processors_below`` (Figure 7's sweep) and
+``mean_utilization`` select from one memoized reading per processor per
+engine event.  Four families of guarantees:
 
 * **Query equivalence** — under randomized background load, failures,
   and recoveries, every query returns the same answer as a fresh-read
   O(P) scan (the oracle below, which re-reads every meter per query).
+* **Walk order** — draining ``by_utilization`` yields exactly the picks
+  of repeated scans with a growing exclude set, ties and faults
+  included.
 * **Memo freshness** — the memo never outlives the event it was taken
   in, even when several events share one instant.
-* **Decision equivalence** — full P=6 replication runs produce identical
-  RM decision sequences with the memo and with a system that never
-  memoizes.
+* **Decision equivalence** — full replication runs (P=6, and P=64 with
+  wide replica fan-out) produce identical RM decision sequences with the
+  memo and with a system that never memoizes.
 """
 
 from __future__ import annotations
 
+import pickle
 import random
 
 import pytest
@@ -43,6 +48,17 @@ def least_utilized_scan(system, exclude=frozenset()):
     if not candidates:
         return None
     return min(candidates, key=lambda p: (p.utilization(), p.name))
+
+
+def drain_scan(system, exclude=frozenset()):
+    """Reference Figure 5 walk: repeated ``p_min`` scans, each pick
+    added to the exclude set before the next."""
+    picks = []
+    blocked = set(exclude)
+    while (found := least_utilized_scan(system, exclude=blocked)) is not None:
+        picks.append(found.name)
+        blocked.add(found.name)
+    return picks
 
 
 def processors_below_scan(system, threshold):
@@ -213,6 +229,146 @@ class TestFailuresAndRecovery:
             assert_queries_match(system)
 
 
+def assert_walk_matches(system, exclude=frozenset()):
+    """Draining the walk equals the repeated-scan oracle, readings too."""
+    walk = list(system.by_utilization(exclude))
+    assert [name for _, name in walk] == drain_scan(system, exclude)
+    assert [u for u, _ in walk] == [
+        system.processor(name).utilization() for _, name in walk
+    ]
+    head = system.least_utilized(exclude=exclude)
+    assert (head.name if head is not None else None) == (
+        walk[0][1] if walk else None
+    )
+
+
+class TestWalkOrder:
+    @pytest.mark.parametrize("seed", [4, 5, 6])
+    def test_randomized_load_walk_matches_repeated_scans(self, seed):
+        rng = random.Random(seed)
+        system = build_system(
+            n_processors=14, seed=seed, clock_sync_enabled=False
+        )
+        drive_random_load(system, rng, horizon=20.0)
+        t = 0.0
+        while t < 22.0:
+            t += rng.uniform(0.05, 1.0)
+            system.engine.run_until(t)
+            exclude = frozenset(
+                p.name for p in system.processors if rng.random() < 0.25
+            )
+            assert_walk_matches(system)
+            assert_walk_matches(system, exclude=exclude)
+
+    def test_exact_ties_walk_in_name_string_order(self):
+        # All idle: every reading is 0.0, so the name decides, and names
+        # compare as strings: p10 < p11 < p12 < p2.
+        system = build_system(n_processors=12, clock_sync_enabled=False)
+        names = [name for _, name in system.by_utilization()]
+        assert names[:5] == ["p1", "p10", "p11", "p12", "p2"]
+        assert names == sorted(p.name for p in system.processors)
+        assert names == drain_scan(system)
+        excluded = [n for _, n in system.by_utilization({"p1", "p10"})]
+        assert excluded[:2] == ["p11", "p12"]
+        assert_walk_matches(system, exclude={"p1", "p10"})
+
+    def test_ties_between_loaded_processors_break_by_name(self):
+        system = build_system(n_processors=12, clock_sync_enabled=False)
+        for name in ("p2", "p10", "p11"):
+            system.processor(name).run_for(10.0)
+        system.engine.run_until(2.0)
+        loaded = [n for _, n in system.by_utilization() if n in {"p2", "p10", "p11"}]
+        assert loaded == ["p10", "p11", "p2"]
+        assert_walk_matches(system)
+
+    @pytest.mark.parametrize("seed", [21, 22])
+    def test_fail_and_recover_churn(self, seed):
+        rng = random.Random(seed)
+        system = build_system(
+            n_processors=12, seed=seed, clock_sync_enabled=False
+        )
+        drive_random_load(system, rng, horizon=15.0)
+        t = 0.0
+        while t < 16.0:
+            t += rng.uniform(0.1, 0.8)
+            system.engine.run_until(t)
+            for proc in system.processors:
+                roll = rng.random()
+                if roll < 0.10:
+                    proc.fail()
+                elif roll < 0.25:
+                    proc.recover()
+            assert_walk_matches(system, exclude={"p3"})
+
+    def test_failures_while_an_iterator_is_alive(self):
+        # Readings are frozen for the event, but the failed flag is read
+        # as the walk reaches each processor: each pick equals the scan
+        # taken at the moment it is drawn.
+        system = build_system(n_processors=8, clock_sync_enabled=False)
+        for i, proc in enumerate(system.processors):
+            proc.run_for(0.1 * (i + 1))
+        system.engine.run_until(1.0)
+        p3, p5, p6 = (system.processor(n) for n in ("p3", "p5", "p6"))
+        p5.failed = True
+        walk = system.by_utilization({"p2"})
+        picks = [next(walk)[1]]
+        p3.failed = True  # direct write, not yet reached
+        p5.failed = False  # direct write, revived ahead of the walk
+        p6.fail()  # a same-instant crash
+        blocked = {"p2", *picks}
+        for _, name in walk:
+            want = least_utilized_scan(system, exclude=blocked)
+            assert want is not None and name == want.name
+            picks.append(name)
+            blocked.add(name)
+        assert least_utilized_scan(system, exclude=blocked) is None
+        assert picks == ["p1", "p4", "p5", "p7", "p8"]
+
+    def test_reading_faults_reorder_the_walk(self):
+        system = build_system(n_processors=6, clock_sync_enabled=False)
+        for proc in system.processors[3:]:
+            proc.run_for(10.0)
+        system.engine.run_until(1.0)
+        assert [n for _, n in system.by_utilization()][:3] == ["p1", "p2", "p3"]
+        system.processor("p1").reading_fault = lambda u: 1.5
+        system.processor("p2").reading_fault = lambda u: -0.25
+        system.engine.run_until(1.5)
+        walk = list(system.by_utilization())
+        assert walk[0] == (-0.25, "p2")
+        assert walk[-1] == (1.5, "p1")
+        assert_walk_matches(system)
+        assert_walk_matches(system, exclude={"p2"})
+
+    def test_walk_after_pickle_round_trip(self):
+        # A restored snapshot carries its order with the readings it was
+        # sorted from, and re-sorts at the next event like the original.
+        system = build_system(n_processors=10, seed=7, clock_sync_enabled=False)
+        for i, proc in enumerate(system.processors):
+            proc.run_for(0.7 * ((3 * i) % 10) + 0.1)
+        system.engine.run_until(3.0)
+        before = list(system.by_utilization({"p4"}))
+        restored = pickle.loads(pickle.dumps(system))
+        assert list(restored.by_utilization({"p4"})) == before
+        for world in (system, restored):
+            world.engine.run_until(5.0)
+        assert list(restored.by_utilization()) == list(system.by_utilization())
+        assert_walk_matches(restored, exclude={"p4"})
+
+    def test_fresh_read_system_sorts_fresh_at_the_same_instant(self):
+        # The order is cached per readings dict, not per event: a system
+        # that re-reads on every call must never be served a stale order.
+        system = fresh_read(build_system(n_processors=4, clock_sync_enabled=False))
+        system.processor("p4").run_for(5.0)
+        system.engine.run_until(1.0)
+        assert [n for _, n in system.by_utilization()] == ["p1", "p2", "p3", "p4"]
+        system.processor("p1").reading_fault = lambda u: 0.9
+        system.processor("p3").reading_fault = lambda u: -0.5
+        # No event has run since the first walk.
+        assert [n for _, n in system.by_utilization()] == ["p3", "p2", "p1", "p4"]
+        assert system.least_utilized().name == "p3"
+        assert_walk_matches(system)
+
+
 class TestPerEventMemo:
     def test_reading_fault_set_by_an_earlier_event_at_the_same_instant(self):
         # p2 was busy for half of the first second, p1 never: p_min is p1
@@ -287,9 +443,9 @@ def fresh_read(system):
     )
 
 
-def decision_manager(fresh, workload, policy=None, n_periods=40):
-    """A P=6 replication run, optionally on a never-memoizing system."""
-    system = build_system(n_processors=6, seed=0)
+def decision_manager(fresh, workload, policy=None, n_periods=40, n_processors=6):
+    """A replication run, optionally on a never-memoizing system."""
+    system = build_system(n_processors=n_processors, seed=0)
     if fresh:
         system = fresh_read(system)
     task = aaw_task(noise_sigma=0.0)
@@ -310,9 +466,13 @@ def decision_manager(fresh, workload, policy=None, n_periods=40):
     return system, manager
 
 
-def run_decision_history(policy, workload, fresh, n_periods=40, horizon=41.0):
+def run_decision_history(
+    policy, workload, fresh, n_periods=40, horizon=41.0, n_processors=6
+):
     """One full replication run; returns the RM decision sequence."""
-    system, manager = decision_manager(fresh, workload, policy, n_periods)
+    system, manager = decision_manager(
+        fresh, workload, policy, n_periods, n_processors
+    )
     system.engine.run_until(horizon)
     return [
         (
@@ -335,7 +495,7 @@ def run_decision_history(policy, workload, fresh, n_periods=40, horizon=41.0):
 
 
 class TestDecisionSequenceEquivalence:
-    """P=6 runs decide identically with the memo and with fresh reads."""
+    """Runs decide identically with the memo and with fresh reads."""
 
     def rise_and_fall(self, cycle):
         return 8000.0 if cycle < 10 else 300.0
@@ -351,6 +511,30 @@ class TestDecisionSequenceEquivalence:
         # The run actually exercised the hot paths (grew and shrank).
         assert any(step[4] and step[4][0][1] for step in memo)
         assert any(step[2] for step in memo)
+
+    def test_predictive_wide_fan_out_at_p64_identical(self):
+        # One Figure 5 walk adds dozens of replicas here, so every pick
+        # after the first comes from deep in the sorted order.
+        def surge(cycle):
+            return 80000.0 if cycle < 8 else 300.0
+
+        runs = [
+            run_decision_history(
+                PredictivePolicy(),
+                surge,
+                fresh=fresh,
+                n_periods=20,
+                horizon=21.0,
+                n_processors=64,
+            )
+            for fresh in (False, True)
+        ]
+        assert runs[0] == runs[1]
+        widest = max(
+            len(outcome[1]) for step in runs[0] for outcome in step[4]
+        )
+        assert widest >= 20
+        assert any(step[2] for step in runs[0])
 
     def test_nonpredictive_run_identical(self):
         memo = run_decision_history(

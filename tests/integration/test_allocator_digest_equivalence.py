@@ -205,6 +205,55 @@ class TestEveryPolicyPinned:
         assert result.decision_digest == FORECAST_AWARE[policy][(scenario, hardened)]
 
 
+#: Hardened predictive at P=16 under ``flaky_node``: the placement guard
+#: keeps the flapping p2 out of Figure 5's walk, which then picks past
+#: it (several multi-replica walks, names p1..p16 in string order).
+#: Captured on the last commit before Figure 5 drew every replica from
+#: one sorted walk per decision.
+GUARDED_WALK = BaselineConfig(n_nodes=16, n_periods=60, seed=5)
+GUARDED_WALK_DIGEST = (
+    "afe35d601834e540bda18709115cb15e888f0ef440b6e52e6148d9edde900d0d"
+)
+
+
+def test_guard_excluded_walk_digest_pinned(fitted_estimator, monkeypatch):
+    from repro.core.hardening import PlacementGuard
+    from repro.core.predictive import PredictivePolicy
+
+    exclusions = []
+    walks = []
+    excluded = PlacementGuard.excluded
+    replicate = PredictivePolicy.replicate
+
+    def spy_excluded(self, now):
+        result = excluded(self, now)
+        exclusions.append(result)
+        return result
+
+    def spy_replicate(self, context, subtask_index):
+        outcome = replicate(self, context, subtask_index)
+        walks.append((context.excluded_processors, outcome.added_processors))
+        return outcome
+
+    monkeypatch.setattr(PlacementGuard, "excluded", spy_excluded)
+    monkeypatch.setattr(PredictivePolicy, "replicate", spy_replicate)
+    config = ExperimentConfig(
+        policy="predictive",
+        pattern="triangular",
+        max_workload_units=40.0,
+        baseline=GUARDED_WALK,
+        chaos_scenario="flaky_node",
+        hardened=True,
+    )
+    result = run_experiment(config, estimator=fitted_estimator)
+    assert result.decision_digest == GUARDED_WALK_DIGEST
+    # The guard really excluded a processor, and walks ran past it.
+    assert any(exclusions)
+    guarded = [added for blocked, added in walks if blocked]
+    assert any(len(added) >= 2 for added in guarded)
+    assert all("p2" not in added for added in guarded)
+
+
 #: Registered policies that resolve one candidate at a time.
 PER_CANDIDATE = ("predictive", "nonpredictive", "hybrid", "staticmax", "noadapt")
 
