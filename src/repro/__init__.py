@@ -48,39 +48,9 @@ Quickstart
     print(result.metrics.combined)
 """
 
-import warnings as _warnings
-
 from repro.api import *  # noqa: F403
-from repro.api import _DEPRECATED_NAMES as _API_DEPRECATED
 from repro.api import __all__ as _api_all
-from repro.api import _deprecated_name
 
-__version__ = "1.1.0"
+__version__ = "2.0.0"
 
 __all__ = [*_api_all, "__version__"]
-
-#: Pre-facade estimator entry points, kept importable from the root
-#: with a DeprecationWarning (PEP 562).
-_DEPRECATED_ALIASES = {
-    "build_estimator": ("repro.bench.profiler", "build_estimator"),
-    "get_default_estimator": ("repro.experiments.estimator_cache", "get_estimator"),
-}
-
-
-def __getattr__(name: str):
-    if name in _API_DEPRECATED:
-        return _deprecated_name(__name__, name)
-    target = _DEPRECATED_ALIASES.get(name)
-    if target is not None:
-        module_name, attr = target
-        _warnings.warn(
-            f"repro.{name} is deprecated; use repro.api.fit_estimator "
-            "(baseline fits) or repro.api.fit_estimator(task=...) "
-            "(custom-task profiling campaigns)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        import importlib
-
-        return getattr(importlib.import_module(module_name), attr)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

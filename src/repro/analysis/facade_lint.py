@@ -7,9 +7,9 @@ checkable:
 ``API-DEPRECATED``
     An *internal* module imports or references one of the deprecated
     compatibility shims (``[deprecated] names`` in ``layering.toml``,
-    e.g. ``repro.build_estimator``).  The shims exist so external
-    callers survive one release cycle; internal code reaching through
-    them resurrects the old surface and blocks its removal.
+    dotted spellings such as ``repro.api.OldName``).  The shims exist so
+    external callers survive one release cycle; internal code reaching
+    through them resurrects the old surface and blocks its removal.
 ``API-SNAPSHOT``
     ``repro.api.__all__`` drifts from the reviewed snapshot
     (``tests/public_api_snapshot.txt``).  The comparison is static —

@@ -22,17 +22,13 @@ checked-in snapshot.  Deep imports (``repro.core.manager``, ...) keep
 working but carry no such promise — the ``repro lint`` LAY-FACADE rule
 keeps the shipped examples and scripts off them.
 
-:func:`fit_estimator` is the single estimator entry point, merging the
-two historical ones: ``repro.bench.build_estimator(task, ...)`` (fresh
-profiling campaign for a custom task) and
-``repro.experiments.get_default_estimator(baseline, ...)`` (cached fit
-for a baseline configuration).  Both old names still work everywhere
-they used to exist, with a DeprecationWarning.
+:func:`fit_estimator` is the single estimator entry point: a cached
+fit for a baseline configuration, or a fresh profiling campaign for a
+custom ``task``.
 """
 
 from __future__ import annotations
 
-import warnings
 from pathlib import Path
 from typing import Any
 
@@ -331,54 +327,3 @@ __all__ = [
     "write_report",
 ]
 
-
-#: Names dropped from ``__all__`` that stay importable for one release
-#: with a DeprecationWarning (PEP 562): ``name -> (replacement, why)``.
-_DEPRECATED_NAMES: dict[str, tuple[str, str]] = {
-    "VectorizedEngine": (
-        "Engine",
-        "the simulator has one event calendar and both took "
-        "bit-identical decisions",
-    ),
-    "UtilizationIndex": (
-        "System",
-        "System.least_utilized/by_utilization/processors_below/"
-        "mean_utilization select from one memoized reading per processor "
-        "per event, walked in (ut, name) order sorted once per event",
-    ),
-    "IndexStats": (
-        "System",
-        "System.least_utilized/by_utilization/processors_below/"
-        "mean_utilization select from one memoized reading per processor "
-        "per event, walked in (ut, name) order sorted once per event; "
-        "there are no index counters left to export",
-    ),
-    "get_allocator": (
-        "get_policy",
-        "every registered policy is an Allocator, so get_policy returns "
-        "one ready to run",
-    ),
-    "AllocationRequest": (
-        "AllocationContext",
-        "per-candidate policies implement replicate(context, "
-        "subtask_index) on the cycle's one AllocationContext",
-    ),
-}
-
-
-def _deprecated_name(module: str, name: str) -> Any:
-    """Warn about ``module.name`` and return its replacement."""
-    replacement, why = _DEPRECATED_NAMES[name]
-    warnings.warn(
-        f"{module}.{name} is deprecated; use repro.api.{replacement} "
-        f"({why})",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return globals()[replacement]
-
-
-def __getattr__(name: str) -> Any:
-    if name in _DEPRECATED_NAMES:
-        return _deprecated_name(__name__, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -53,22 +53,3 @@ __all__ = [
     "profile_subtask",
 ]
 
-
-def __getattr__(name: str):
-    # Pre-facade estimator entry point (PEP 562 shim); the supported
-    # spellings are repro.api.fit_estimator(task=...) for a one-off
-    # profiling campaign and repro.bench.profiler.build_estimator for
-    # the underlying implementation.
-    if name == "build_estimator":
-        import warnings
-
-        from repro.bench import profiler
-
-        warnings.warn(
-            "repro.bench.build_estimator is deprecated; use "
-            "repro.api.fit_estimator(task=...)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return profiler.build_estimator
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

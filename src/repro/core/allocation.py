@@ -268,7 +268,7 @@ def check_allocator(candidate: object) -> Allocator:
         f"{type(candidate).__name__} has no allocate(context) method; "
         "per-candidate policies subclass CandidatePolicyAdapter and "
         "implement replicate(context, subtask_index) — see docs/api.md, "
-        '"Migration from the per-candidate request"'
+        '"Removed in 2.0"'
     )
 
 

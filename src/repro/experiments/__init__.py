@@ -63,20 +63,3 @@ __all__ = [
     "validate_reproduction",
 ]
 
-
-def __getattr__(name: str):
-    # Pre-facade estimator entry point (PEP 562 shim); the supported
-    # spelling is repro.api.fit_estimator.
-    if name == "get_default_estimator":
-        import warnings
-
-        from repro.experiments import estimator_cache
-
-        warnings.warn(
-            "repro.experiments.get_default_estimator is deprecated; "
-            "use repro.api.fit_estimator",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return estimator_cache.get_estimator
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

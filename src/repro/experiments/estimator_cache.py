@@ -29,8 +29,8 @@ from repro.experiments.config import BaselineConfig
 from repro.regression.estimator import TimingEstimator
 from repro.regression.serialization import load_models, save_models
 
-#: In-process cache, keyed by :func:`cache_key`.  Shared with
-#: :mod:`repro.experiments.runner` (its ``_ESTIMATOR_CACHE`` alias).
+#: In-process cache, keyed by :func:`cache_key`; emptied by
+#: :func:`clear_memory_cache`.
 _MEMORY_CACHE: dict[tuple, TimingEstimator] = {}
 
 

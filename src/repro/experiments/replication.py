@@ -5,7 +5,7 @@ obtained by a single experiment").  For a trustworthy reproduction we
 also quantify run-to-run variability: :func:`replicate_experiment` runs
 an experiment under ``n_seeds`` independent seeds and summarizes each
 metric with mean, standard deviation and a Student-t confidence
-interval (scipy).
+interval.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
-from scipy import stats
 
 from repro.errors import ConfigurationError
 from repro.experiments.config import ExperimentConfig
@@ -60,15 +59,45 @@ class ReplicatedResult:
             ) from None
 
 
+def _t_central_mass(theta: float, df: int) -> float:
+    """``P(|T| < sqrt(df) * tan(theta))`` for Student's t with integer ``df``.
+
+    The closed forms of Abramowitz & Stegun 26.7.3 (odd ``df``) and
+    26.7.4 (even ``df``), summed term by term.
+    """
+    s, c2 = math.sin(theta), math.cos(theta) ** 2
+    if df % 2:
+        term = total = 0.0 if df == 1 else math.cos(theta)
+        for k in range(1, (df - 1) // 2):
+            term *= c2 * (2 * k) / (2 * k + 1)
+            total += term
+        return 2.0 / math.pi * (theta + s * total)
+    term = total = 1.0
+    for k in range(1, df // 2):
+        term *= c2 * (2 * k - 1) / (2 * k)
+        total += term
+    return s * total
+
+
 @lru_cache(maxsize=None)
 def _t_critical(confidence: float, df: int) -> float:
-    """Memoized Student-t critical value.
+    """Memoized two-sided Student-t critical value.
 
-    ``summarize`` is called once per metric per replication study with
-    identical ``(confidence, df)`` arguments, and ``scipy.stats.t.ppf``
-    dominates its cost — cache the quantile instead of recomputing it.
+    The ``t`` with ``P(|T| < t) = confidence``, i.e. the
+    ``0.5 + confidence / 2`` quantile, found by bisecting
+    :func:`_t_central_mass` over ``theta = atan(t / sqrt(df))`` until
+    the bracket stops shrinking.  ``summarize`` asks for it once per
+    metric with identical arguments, so the quantile is cached.
     """
-    return float(stats.t.ppf(0.5 + confidence / 2.0, df=df))
+    lo, hi = 0.0, math.pi / 2.0
+    mid = (lo + hi) / 2.0
+    while lo < mid < hi:
+        if _t_central_mass(mid, df) < confidence:
+            lo = mid
+        else:
+            hi = mid
+        mid = (lo + hi) / 2.0
+    return math.sqrt(df) * math.tan(mid)
 
 
 def summarize(name: str, values: list[float], confidence: float = 0.95) -> MetricSummary:

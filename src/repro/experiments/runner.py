@@ -48,11 +48,6 @@ if TYPE_CHECKING:  # imported lazily at runtime: forecast_eval imports us
     from repro.experiments.forecast_eval import CalibrationReport
     from repro.telemetry.slo import SloReport
 
-#: Backwards-compatible alias for the in-process estimator cache, now
-#: owned by :mod:`repro.experiments.estimator_cache` (same dict object).
-_ESTIMATOR_CACHE = estimator_cache._MEMORY_CACHE
-
-
 @dataclass(frozen=True)
 class ExperimentResult:
     """Everything a sweep needs from one run.
@@ -77,23 +72,6 @@ class ExperimentResult:
     #: took identical decisions — the engine/sharding equivalence gates
     #: compare these instead of whole histories.
     decision_digest: str = ""
-
-
-def __getattr__(name: str):
-    # Pre-facade name, shimmed per PEP 562: the implementation moved to
-    # repro.experiments.estimator_cache and the public entry point is
-    # repro.api.fit_estimator.
-    if name == "get_default_estimator":
-        import warnings
-
-        warnings.warn(
-            "repro.experiments.runner.get_default_estimator is "
-            "deprecated; use repro.api.fit_estimator",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return estimator_cache.get_estimator
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass

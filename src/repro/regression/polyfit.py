@@ -3,7 +3,7 @@
 A thin, explicit OLS layer over :func:`numpy.linalg.lstsq`: callers build
 a design matrix (see :mod:`repro.regression.design`), get back an
 :class:`OLSResult` carrying coefficients, goodness-of-fit statistics and
-(optional, via scipy) coefficient standard errors.  The regression models
+coefficient standard errors (computed with NumPy).  The regression models
 of the paper (eqs. 3 and 5) are all small dense problems, so numerical
 exotica (regularization, QR pivoting) is deliberately out of scope.
 """

@@ -3,10 +3,13 @@
 Covers the :class:`AllocationContext` / :class:`AllocationPlan` surface
 (including the one worst-replica forecast), the
 :class:`CandidatePolicyAdapter` base class, the registry's error
-wrapping, and the deprecated ``repro.core.allocator`` module shim.
+wrapping, and the per-candidate types that left the contract.
 """
 
 from __future__ import annotations
+
+import re
+from pathlib import Path
 
 import pytest
 
@@ -208,8 +211,17 @@ class TestCandidatePolicyAdapter:
         assert check_allocator(policy) is policy
 
     def test_check_allocator_rejects_foreign(self):
-        with pytest.raises(AllocationError, match="Migration from the per-candidate"):
+        with pytest.raises(AllocationError, match="Removed in 2.0"):
             check_allocator(object())
+
+    def test_check_allocator_names_a_heading_of_the_api_guide(self):
+        with pytest.raises(AllocationError) as caught:
+            check_allocator(object())
+        doc, heading = re.search(
+            r'see (\S+), "([^"]+)"', str(caught.value)
+        ).groups()
+        text = (Path(__file__).parents[2] / doc).read_text()
+        assert re.search(rf"^#+ {re.escape(heading)}$", text, re.MULTILINE)
 
     def test_adapter_satisfies_allocator_protocol(self):
         assert isinstance(NonPredictivePolicy(), Allocator)
@@ -249,25 +261,6 @@ class TestRegistryErrors:
 
             allocation._REGISTRY.pop("exploding-test", None)
 
-    def test_get_allocator_lifts_level1_policies(self):
-        """The deprecated alias still serves per-candidate policies."""
-        from repro import api
-
-        with pytest.warns(DeprecationWarning, match="get_allocator"):
-            get_allocator = api.get_allocator
-        allocator = get_allocator("predictive", slack_fraction=0.3)
-        assert isinstance(allocator, CandidatePolicyAdapter)
-        assert allocator.name == "predictive"
-
-    def test_get_allocator_returns_level2_directly(self):
-        from repro import api
-        from repro.core.zoo import MarketAllocator
-
-        with pytest.warns(DeprecationWarning, match="get_allocator"):
-            get_allocator = api.get_allocator
-        allocator = get_allocator("market")
-        assert isinstance(allocator, MarketAllocator)
-
     def test_get_policy_returns_allocators_ready_to_run(self):
         from repro.core.zoo import MarketAllocator
 
@@ -296,33 +289,9 @@ class TestRegistryErrors:
         assert {"market", "fairshare", "oracle"} <= set(registered_policies())
 
 
-class TestDeprecatedModuleShim:
-    def test_old_spellings_importable_with_warning(self):
-        import repro.core.allocator as old
-
-        for name in (
-            "AllocationOutcome",
-            "get_policy",
-            "register_policy",
-            "registered_policies",
-        ):
-            with pytest.warns(DeprecationWarning, match=name):
-                served = getattr(old, name)
-            from repro.core import allocation
-
-            assert served is getattr(allocation, name)
-
-    def test_unknown_attribute_still_raises(self):
-        import repro.core.allocator as old
-
-        with pytest.raises(AttributeError):
-            old.no_such_name
-
+class TestRemovedTypes:
     @pytest.mark.parametrize("name", ["AllocationPolicy", "AllocationRequest"])
     def test_removed_per_candidate_types_are_gone(self, name):
-        import repro.core.allocator as old
         from repro.core import allocation
 
-        with pytest.raises(AttributeError):
-            getattr(old, name)
         assert not hasattr(allocation, name)

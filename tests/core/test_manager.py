@@ -60,7 +60,7 @@ class PreContextPolicy:
 
 class TestPolicyValidation:
     def test_policy_without_allocate_rejected_at_construction(self):
-        with pytest.raises(AllocationError, match="Migration from the per-candidate"):
+        with pytest.raises(AllocationError, match="Removed in 2.0"):
             make_stack(PreContextPolicy(), lambda c: 500.0)
 
     def test_fallback_without_allocate_rejected_at_construction(self):

@@ -2,14 +2,61 @@
 
 from __future__ import annotations
 
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.experiments.config import BaselineConfig, ExperimentConfig
 from repro.experiments.replication import (
+    _t_critical,
     replicate_experiment,
     summarize,
 )
+
+CONFIDENCES = (0.5, 0.8, 0.9, 0.95, 0.99, 0.999)
+DEGREES_OF_FREEDOM = (*range(1, 301), 500, 1000, 5000)
+
+
+class TestStudentT:
+    def test_matches_scipy(self):
+        stats = pytest.importorskip("scipy.stats")
+        for df in DEGREES_OF_FREEDOM:
+            for confidence in CONFIDENCES:
+                expected = stats.t.ppf(0.5 + confidence / 2.0, df)
+                assert _t_critical(confidence, df) == pytest.approx(
+                    expected, rel=1e-10
+                ), (confidence, df)
+
+    @pytest.mark.parametrize("confidence", CONFIDENCES)
+    def test_cauchy_closed_form_at_one_degree_of_freedom(self, confidence):
+        # df=1 is the Cauchy distribution: F^-1(p) = tan(pi * (p - 1/2)).
+        p = 0.5 + confidence / 2.0
+        assert _t_critical(confidence, 1) == pytest.approx(
+            math.tan(math.pi * (p - 0.5)), rel=1e-12
+        )
+
+    def test_import_repro_loads_no_scipy(self):
+        import repro
+
+        src = str(Path(repro.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        probe = (
+            "import sys, repro\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            check=True,
+            env=env,
+        ).stdout
+        assert out.strip() == "[]"
 
 
 class TestSummarize:

@@ -120,9 +120,9 @@ class TestEstimatorCache:
         baseline = BaselineConfig(noise_sigma=0.0, seed=98)
         a = get_estimator(baseline, cache_dir=tmp_path, repetitions=1)
         # Clear the in-process cache to force the disk path.
-        from repro.experiments import runner
+        from repro.experiments import estimator_cache
 
-        runner._ESTIMATOR_CACHE.clear()
+        estimator_cache.clear_memory_cache()
         b = get_estimator(baseline, cache_dir=tmp_path, repetitions=1)
         assert a is not b
         assert a.latency_models[3].a == pytest.approx(b.latency_models[3].a)

@@ -1,4 +1,4 @@
-"""The public-surface contract: snapshot, re-exports, deprecations.
+"""The public-surface contract: snapshot, re-exports, removed names.
 
 ``repro.api.__all__`` is the compatibility promise of the distribution.
 This suite pins it against a checked-in snapshot so that any addition
@@ -88,70 +88,61 @@ class TestFitEstimator:
         assert estimator_cache._MEMORY_CACHE[key] is first
 
 
-OLD_NAMES = [
-    ("repro", "build_estimator"),
-    ("repro", "get_default_estimator"),
-    ("repro.bench", "build_estimator"),
-    ("repro.experiments", "get_default_estimator"),
-    ("repro.experiments.runner", "get_default_estimator"),
+#: Every spelling the 1.x releases served through a DeprecationWarning
+#: alias; 2.0 removed them all (``[deprecated] names`` is empty).
+REMOVED_IN_2_0 = [
+    "repro.build_estimator",
+    "repro.get_default_estimator",
+    "repro.bench.build_estimator",
+    "repro.experiments.get_default_estimator",
+    "repro.experiments.runner.get_default_estimator",
+    "repro.core.allocator.AllocationOutcome",
+    "repro.core.allocator.get_policy",
+    "repro.core.allocator.register_policy",
+    "repro.core.allocator.registered_policies",
+    "repro.api.VectorizedEngine",
+    "repro.VectorizedEngine",
+    "repro.api.UtilizationIndex",
+    "repro.UtilizationIndex",
+    "repro.api.IndexStats",
+    "repro.IndexStats",
+    "repro.api.get_allocator",
+    "repro.get_allocator",
+    "repro.api.AllocationRequest",
+    "repro.AllocationRequest",
 ]
 
 
 class TestDeprecatedNames:
-    @pytest.mark.parametrize("module_name,attr", OLD_NAMES)
-    def test_old_name_works_with_deprecation_warning(self, module_name, attr):
+    @pytest.mark.parametrize("spelling", REMOVED_IN_2_0)
+    def test_removed_in_2_0(self, spelling):
         import importlib
 
+        module_name, attr = spelling.rsplit(".", 1)
+        if module_name == "repro.core.allocator":
+            with pytest.raises(ModuleNotFoundError):
+                importlib.import_module(module_name)
+            return
         module = importlib.import_module(module_name)
-        with pytest.warns(DeprecationWarning, match="repro.api.fit_estimator"):
-            old = getattr(module, attr)
-        assert callable(old)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            with pytest.raises(AttributeError):
+                getattr(module, attr)
+
+    def test_shipped_contract_declares_no_deprecated_names(self):
+        from repro.analysis.layering import load_contract
+
+        assert load_contract().deprecated == frozenset()
 
     def test_old_names_left_the_facade(self):
         assert "build_estimator" not in repro.api.__all__
         assert "get_default_estimator" not in repro.api.__all__
-
-    @pytest.mark.parametrize("module", [repro, repro.api], ids=["root", "api"])
-    def test_vectorized_engine_is_a_deprecated_engine_alias(self, module):
-        with pytest.warns(DeprecationWarning, match="repro.api.Engine"):
-            alias = module.VectorizedEngine
-        assert alias is repro.api.Engine
-        assert "VectorizedEngine" not in module.__all__
-
-    @pytest.mark.parametrize("name", ["UtilizationIndex", "IndexStats"])
-    @pytest.mark.parametrize("module", [repro, repro.api], ids=["root", "api"])
-    def test_utilization_index_names_point_at_system(self, module, name):
-        with pytest.warns(DeprecationWarning, match="repro.api.System") as caught:
-            alias = getattr(module, name)
-        assert alias is repro.api.System
-        assert "least_utilized" in str(caught[0].message)
-        assert name not in module.__all__
 
     def test_utilization_index_left_the_cluster_package(self):
         import repro.cluster
 
         assert not hasattr(repro.cluster, "UtilizationIndex")
         assert not hasattr(repro.cluster, "IndexStats")
-
-    @pytest.mark.parametrize(
-        "name,replacement",
-        [("get_allocator", "get_policy"), ("AllocationRequest", "AllocationContext")],
-    )
-    @pytest.mark.parametrize("module", [repro, repro.api], ids=["root", "api"])
-    def test_allocation_names_point_at_the_one_contract(
-        self, module, name, replacement
-    ):
-        with pytest.warns(
-            DeprecationWarning, match=f"repro.api.{replacement}"
-        ):
-            alias = getattr(module, name)
-        assert alias is getattr(repro.api, replacement)
-        assert name not in module.__all__
-
-    def test_annotation_only_imports_of_allocation_request_keep_working(self):
-        with pytest.warns(DeprecationWarning, match="AllocationContext"):
-            from repro.api import AllocationRequest
-        assert AllocationRequest is repro.api.AllocationContext
 
     def test_as_allocator_left_with_no_alias(self):
         assert "as_allocator" not in repro.api.__all__
