@@ -11,6 +11,13 @@ A well-calibrated forecast errs slightly on the pessimistic side
 (observed <= forecast) so the 20 % slack target translates into met
 deadlines; a systematically optimistic forecast would convert directly
 into misses.
+
+:func:`evaluate_forecasts` assembles its run with
+:func:`repro.experiments.runner.build_world`, the assembly every
+experiment uses, so the audited run is the one
+:func:`~repro.experiments.runner.run_experiment` would execute for the
+same config: on the static estimator its report equals
+``run_experiment(config).forecasts``.
 """
 
 from __future__ import annotations
@@ -19,18 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.bench.app import aaw_task, default_initial_placement
-from repro.cluster.topology import build_system
-from repro.core.manager import AdaptiveResourceManager, RMConfig
-from repro.core.predictive import PredictivePolicy
 from repro.errors import ConfigurationError
+from repro.experiments import runner
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.estimator_cache import get_estimator
 from repro.experiments.history_index import RunHistoryIndex
 from repro.regression.estimator import TimingEstimator
-from repro.runtime.executor import ExecutorConfig, PeriodicTaskExecutor
-from repro.tasks.state import ReplicaAssignment
-from repro.workloads.patterns import make_pattern
 
 
 @dataclass(frozen=True)
@@ -104,9 +105,11 @@ def calibration_from_run(
     so callers that have just run an experiment — :func:`evaluate_forecasts`
     below, or :func:`repro.experiments.runner.run_experiment` attaching
     calibration to its result — share one pairing implementation.
-    The forecast decisions and the period lookup come from the run's
+    The forecast decisions, the period lookup and the missed-deadline
+    counts come from the run's
     :class:`~repro.experiments.history_index.RunHistoryIndex` (built ad
-    hoc when not passed), so this never rescans ``manager.history``.
+    hoc when not passed), so the missed-deadline ratio is the §5.2
+    metric's over ``n_periods`` and nothing rescans ``manager.history``.
 
     For each manager step that replicated subtask ``j`` with forecast
     ``f``, the observation is the mean stage latency of ``j`` over the
@@ -145,11 +148,10 @@ def calibration_from_run(
                     observed_s=float(np.mean(observed)),
                 )
             )
-    released = list(executor.records)
-    missed = sum(1 for r in released if r.missed)
+    released, missed, _ = index.period_counts(n_periods * task.period)
     return CalibrationReport(
         samples=tuple(samples),
-        missed_deadline_ratio=missed / len(released) if released else 0.0,
+        missed_deadline_ratio=missed / released if released else 0.0,
     )
 
 
@@ -176,56 +178,18 @@ def evaluate_forecasts(
             "forecast evaluation requires the predictive policy, got "
             f"{config.policy!r}"
         )
-    baseline = config.baseline
     if estimator is None:
-        estimator = get_estimator(baseline)
+        estimator = get_estimator(config.baseline)
     if online:
         from repro.regression.online import OnlineCorrectedEstimator
 
         estimator = OnlineCorrectedEstimator(base=estimator)
-    system = build_system(
-        n_processors=baseline.n_nodes,
-        bandwidth_bps=baseline.bandwidth_bps,
-        message_overhead_bytes=baseline.message_overhead_bytes,
-        seed=baseline.seed,
-    )
-    task = aaw_task(
-        period=baseline.period,
-        deadline=baseline.deadline,
-        noise_sigma=baseline.noise_sigma,
-    )
-    assignment = ReplicaAssignment(
-        task, default_initial_placement(task, [p.name for p in system.processors])
-    )
-    pattern = make_pattern(
-        config.pattern,
-        min_tracks=config.min_tracks,
-        max_tracks=config.max_tracks,
-        n_periods=baseline.n_periods,
-    )
-    executor = PeriodicTaskExecutor(
-        system, task, assignment, workload=pattern,
-        config=ExecutorConfig(drop_factor=baseline.drop_factor),
-    )
-    manager = AdaptiveResourceManager(
-        system,
-        executor,
-        estimator,
-        policy=PredictivePolicy(slack_fraction=baseline.slack_fraction),
-        config=RMConfig(initial_d_tracks=config.min_tracks),
-    )
-    manager.start(baseline.n_periods)
-    executor.start(baseline.n_periods)
-    system.engine.run_until(
-        baseline.n_periods * baseline.period
-        + (baseline.drop_factor + 1.0) * baseline.period
-    )
-
-    # Pair forecasts with realized stage latencies.
+    world = runner.build_world(config, estimator)
+    world.system.engine.run_until(world.end_time)
     return calibration_from_run(
-        task,
-        executor,
-        manager,
-        baseline.n_periods,
+        world.task,
+        world.executor,
+        world.controller,
+        config.baseline.n_periods,
         settle_periods=settle_periods,
     )

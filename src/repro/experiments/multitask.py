@@ -14,8 +14,15 @@ runs several benchmark tasks side by side on one system:
   workload, which drives both eq. 5 forecasts and the buffer delays
   the network actually produces.
 
-Metrics aggregate across tasks (misses over all released periods,
-replicas summed, ``Max(R) = m x total replicable subtasks``).
+The machine and every task's manager come from the helpers
+:func:`repro.experiments.runner.build_world` uses, so a multi-task run
+honours the same baseline fields, shutdown strategy and hardening as a
+single run.  Each task's metrics are
+:func:`~repro.experiments.metrics.compute_metrics` over its own
+executor and manager; the aggregate folds them (misses over all
+released periods, replicas summed, ``Max(R) = m x total replicable
+subtasks``).  Chaos, SLO rules, checkpoints and failover arm one
+task's run, so a multi-task run rejects them.
 """
 
 from __future__ import annotations
@@ -23,13 +30,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.bench.app import aaw_task, default_initial_placement
-from repro.cluster.topology import System, build_system
-from repro.core.manager import AdaptiveResourceManager, RMConfig
 from repro.errors import ConfigurationError
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.metrics import ExperimentMetrics
 from repro.experiments.estimator_cache import get_estimator
-from repro.experiments.runner import _make_policy
+from repro.experiments.metrics import ExperimentMetrics, compute_metrics
+from repro.experiments.runner import _manager_for, _system_for
 from repro.regression.estimator import TimingEstimator
 from repro.runtime.executor import ExecutorConfig, PeriodicTaskExecutor
 from repro.tasks.state import ReplicaAssignment
@@ -92,31 +97,33 @@ def run_multi_task_experiment(
     the *combined* load is what the machine must absorb.
 
     Parameters mirror :func:`repro.experiments.runner.run_experiment`;
-    the policy applies to every task's manager.
+    the policy applies to every task's manager.  A config that arms
+    ``chaos_scenario``, ``slo``, ``checkpoint`` or ``failover`` raises
+    :class:`~repro.errors.ConfigurationError`: those instrument a single
+    run.
     """
     if n_tasks < 1:
         raise ConfigurationError(f"need at least one task, got {n_tasks}")
+    # Unset means None (False for failover).
+    armed = [
+        name
+        for name in ("chaos_scenario", "slo", "checkpoint", "failover")
+        if getattr(config, name) not in (None, False)
+    ]
+    if armed:
+        raise ConfigurationError(
+            f"a multi-task run does not support {', '.join(armed)}: "
+            "they arm a single run; drop them or use run_experiment"
+        )
     baseline = config.baseline
     if estimator is None:
         estimator = get_estimator(baseline)
 
-    system: System = build_system(
-        n_processors=baseline.n_nodes,
-        bandwidth_bps=baseline.bandwidth_bps,
-        discipline=baseline.discipline,
-        quantum=baseline.quantum,
-        utilization_window=baseline.utilization_window,
-        message_overhead_bytes=baseline.message_overhead_bytes,
-        network_mode=baseline.network_mode,
-        message_loss_probability=baseline.message_loss_probability,
-        speed_factors=baseline.speed_factors,
-        seed=baseline.seed,
-    )
+    system = _system_for(baseline)
     ledger = WorkloadLedger()
     names = [p.name for p in system.processors]
 
-    executors: list[PeriodicTaskExecutor] = []
-    managers: list[AdaptiveResourceManager] = []
+    runs = []  # (executor, manager) per task
     for t in range(n_tasks):
         task = aaw_task(
             period=baseline.period,
@@ -157,89 +164,43 @@ def run_multi_task_experiment(
                 noise_stream=f"exec-noise-{t}",
             ),
         )
-        manager = AdaptiveResourceManager(
-            system,
-            executor,
-            estimator.__class__(
-                task=task,
-                latency_models=estimator.latency_models,
-                comm_model=estimator.comm_model,
-            ),
-            policy=_make_policy(config),
-            config=RMConfig(
-                slack_fraction=baseline.slack_fraction,
-                shutdown_slack_fraction=baseline.shutdown_slack_fraction,
-                monitor_window=baseline.monitor_window,
-                deadline_strategy=baseline.deadline_strategy,
-                initial_d_tracks=config.min_tracks,
-            ),
-            total_workload_fn=ledger.total,
+        task_estimator = estimator.__class__(
+            task=task,
+            latency_models=estimator.latency_models,
+            comm_model=estimator.comm_model,
         )
-        executors.append(executor)
-        managers.append(manager)
+        manager = _manager_for(
+            config, system, executor, task_estimator, ledger.total
+        )
+        runs.append((executor, manager))
 
     horizon = baseline.n_periods * baseline.period
-    for manager in managers:
+    for _, manager in runs:
         manager.start(baseline.n_periods)
-    for executor in executors:
+    for executor, _ in runs:
         executor.start(baseline.n_periods)
     system.engine.run_until(horizon + (baseline.drop_factor + 1.0) * baseline.period)
 
-    # -- aggregate metrics ---------------------------------------------------------
-    span = horizon
-    per_task: dict[str, ExperimentMetrics] = {}
-    total_released = total_missed = total_aborted = total_actions = 0
-    replica_sum = 0.0
-    n_replicable_total = 0
-    cpu = sum(
-        p.meter.busy_between(0.0, horizon) / span for p in system.processors
-    ) / len(system.processors)
-    net = system.network.meter.busy_between(0.0, horizon) / span
-
-    for executor, manager in zip(executors, managers):
-        records = [r for r in executor.records if r.release_time < horizon]
-        released = len(records)
-        missed = sum(
-            1 for r in records if r.missed or (not r.completed and not r.aborted)
+    per_task = {
+        executor.task.name: compute_metrics(
+            system, executor, manager, 0.0, horizon
         )
-        aborted = sum(1 for r in records if r.aborted)
-        samples = [c for _, c in manager.replica_samples()]
-        avg_replicas = (
-            sum(samples) / len(samples)
-            if samples
-            else float(executor.assignment.total_replicas())
-        )
-        n_replicable = len(executor.task.replicable_indices())
-        per_task[executor.task.name] = ExperimentMetrics(
-            missed_deadline_ratio=missed / released if released else 0.0,
-            avg_cpu_utilization=cpu,
-            avg_network_utilization=net,
-            avg_replicas=avg_replicas,
-            max_replicas=system.size * n_replicable,
-            periods_released=released,
-            periods_missed=missed,
-            periods_aborted=aborted,
-            rm_actions=manager.actions_taken(),
-        )
-        total_released += released
-        total_missed += missed
-        total_aborted += aborted
-        total_actions += manager.actions_taken()
-        replica_sum += avg_replicas
-        n_replicable_total += n_replicable
-
+        for executor, manager in runs
+    }
+    metrics = list(per_task.values())
+    released = sum(m.periods_released for m in metrics)
+    missed = sum(m.periods_missed for m in metrics)
+    # Utilizations are machine-wide: every task reads the same meters.
     aggregate = ExperimentMetrics(
-        missed_deadline_ratio=(
-            total_missed / total_released if total_released else 0.0
-        ),
-        avg_cpu_utilization=cpu,
-        avg_network_utilization=net,
-        avg_replicas=replica_sum,
-        max_replicas=system.size * n_replicable_total,
-        periods_released=total_released,
-        periods_missed=total_missed,
-        periods_aborted=total_aborted,
-        rm_actions=total_actions,
+        missed_deadline_ratio=missed / released if released else 0.0,
+        avg_cpu_utilization=metrics[0].avg_cpu_utilization,
+        avg_network_utilization=metrics[0].avg_network_utilization,
+        avg_replicas=sum(m.avg_replicas for m in metrics),
+        max_replicas=sum(m.max_replicas for m in metrics),
+        periods_released=released,
+        periods_missed=missed,
+        periods_aborted=sum(m.periods_aborted for m in metrics),
+        rm_actions=sum(m.rm_actions for m in metrics),
     )
     return MultiTaskResult(
         per_task_metrics=per_task, aggregate=aggregate, n_tasks=n_tasks

@@ -11,7 +11,11 @@ The assembly and the finalization are independently reusable:
 finished world into the :class:`ExperimentResult` —
 ``run_experiment`` is exactly ``build_world`` + ``run_until`` +
 ``finalize_world``, and a checkpoint-resumed run reuses the same two
-halves around a restored world.
+halves around a restored world.  This is the one run assembly:
+:func:`~repro.experiments.forecast_eval.evaluate_forecasts` drives a
+``build_world`` world, and
+:func:`~repro.experiments.multitask.run_multi_task_experiment` builds
+its machine and per-task managers with the same private helpers.
 
 Profiling the regression models is the expensive step, so estimators
 are cached: in-process by configuration key, and optionally on disk via
@@ -20,6 +24,7 @@ are cached: in-process by configuration key, and optionally on disk via
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, replace as dataclass_replace
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -132,6 +137,65 @@ def _make_policy(config: ExperimentConfig):
     return get_policy(config.policy)
 
 
+def _system_for(
+    baseline: BaselineConfig,
+    seed_offset: int = 0,
+    telemetry: TelemetryHub | None = None,
+) -> System:
+    """The simulated machine a baseline describes (seed + offset)."""
+    return build_system(
+        n_processors=baseline.n_nodes,
+        bandwidth_bps=baseline.bandwidth_bps,
+        discipline=baseline.discipline,
+        quantum=baseline.quantum,
+        utilization_window=baseline.utilization_window,
+        message_overhead_bytes=baseline.message_overhead_bytes,
+        network_mode=baseline.network_mode,
+        message_loss_probability=baseline.message_loss_probability,
+        speed_factors=baseline.speed_factors,
+        seed=baseline.seed + seed_offset,
+        telemetry=telemetry,
+    )
+
+
+def _manager_for(
+    config: ExperimentConfig,
+    system: System,
+    executor: PeriodicTaskExecutor,
+    estimator: TimingEstimator,
+    total_workload_fn: Callable[[], float] | None = None,
+) -> AdaptiveResourceManager:
+    """The configured resource manager for one task's executor.
+
+    Policy, RM tunables, shutdown strategy and hardening all come from
+    ``config``; ``total_workload_fn`` couples eq. 5 to the other tasks
+    of a multi-task run.
+    """
+    baseline = config.baseline
+    shutdown_strategy = (
+        ForecastAwareShutdown(slack_fraction=baseline.slack_fraction)
+        if baseline.shutdown_strategy == "forecast_aware"
+        else LifoShutdown()
+    )
+    return AdaptiveResourceManager(
+        system,
+        executor,
+        estimator,
+        policy=_make_policy(config),
+        config=RMConfig(
+            slack_fraction=baseline.slack_fraction,
+            shutdown_slack_fraction=baseline.shutdown_slack_fraction,
+            monitor_window=baseline.monitor_window,
+            deadline_strategy=baseline.deadline_strategy,
+            initial_d_tracks=config.min_tracks,
+            initial_utilization=0.1,
+        ),
+        shutdown_strategy=shutdown_strategy,
+        total_workload_fn=total_workload_fn,
+        hardening=HardeningConfig() if config.hardened else None,
+    )
+
+
 def build_world(
     config: ExperimentConfig,
     estimator: TimingEstimator | None = None,
@@ -155,19 +219,7 @@ def build_world(
         # callers that never touch telemetry still get verdicts.
         telemetry = TelemetryHub()
 
-    system: System = build_system(
-        n_processors=baseline.n_nodes,
-        bandwidth_bps=baseline.bandwidth_bps,
-        discipline=baseline.discipline,
-        quantum=baseline.quantum,
-        utilization_window=baseline.utilization_window,
-        message_overhead_bytes=baseline.message_overhead_bytes,
-        network_mode=baseline.network_mode,
-        message_loss_probability=baseline.message_loss_probability,
-        speed_factors=baseline.speed_factors,
-        seed=baseline.seed + seed_offset,
-        telemetry=telemetry,
-    )
+    system = _system_for(baseline, seed_offset, telemetry)
     task = aaw_task(
         period=baseline.period,
         deadline=baseline.deadline,
@@ -209,28 +261,7 @@ def build_world(
         workload=workload,
         config=ExecutorConfig(drop_factor=baseline.drop_factor),
     )
-    shutdown_strategy = (
-        ForecastAwareShutdown(slack_fraction=baseline.slack_fraction)
-        if baseline.shutdown_strategy == "forecast_aware"
-        else LifoShutdown()
-    )
-    manager = AdaptiveResourceManager(
-        system,
-        executor,
-        rm_estimator,
-        policy=_make_policy(config),
-        config=RMConfig(
-            slack_fraction=baseline.slack_fraction,
-            shutdown_slack_fraction=baseline.shutdown_slack_fraction,
-            monitor_window=baseline.monitor_window,
-            deadline_strategy=baseline.deadline_strategy,
-            initial_d_tracks=config.min_tracks,
-            initial_utilization=0.1,
-        ),
-        shutdown_strategy=shutdown_strategy,
-        hardening=HardeningConfig() if config.hardened else None,
-    )
-
+    manager = _manager_for(config, system, executor, rm_estimator)
     hub = system.engine.telemetry
     if config.slo is not None and hub.enabled and hub.slo is None:
         hub.arm_slo(config.slo)
@@ -448,6 +479,7 @@ def sweep_workloads(
                 config=jr.spec.config,
                 metrics=jr.metrics,
                 final_placement=jr.final_placement,
+                decision_digest=jr.decision_digest,
             )
             for jr in job_results
         ]

@@ -100,6 +100,25 @@ class TestRunCampaignSerial:
         assert all("combined=" in line for line in lines)
 
 
+def test_parallel_sweep_carries_decision_digests(
+    small_baseline, fitted_estimator, tmp_path
+):
+    kwargs = dict(
+        policy="predictive",
+        pattern="triangular",
+        units=(5.0, 15.0),
+        baseline=small_baseline,
+        estimator=fitted_estimator,
+        cache_dir=tmp_path,
+    )
+    serial = sweep_workloads(n_jobs=1, **kwargs)
+    parallel = sweep_workloads(n_jobs=2, **kwargs)
+    assert all(r.decision_digest for r in serial)
+    assert [r.decision_digest for r in parallel] == [
+        r.decision_digest for r in serial
+    ]
+
+
 @pytest.mark.slow
 class TestParallelMatchesSerial:
     """Bit-identical results regardless of worker count (hard requirement)."""

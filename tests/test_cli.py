@@ -82,6 +82,14 @@ class TestRunCommand:
         assert code == 0
         assert "aaw1" in out and "aaw2" in out
 
+    def test_multi_task_run_rejects_checkpoint(self, capsys):
+        code, _, err = run_cli(
+            capsys, "--periods", "8", "run", "--tasks", "2",
+            "--max-units", "5", "--checkpoint", "4",
+        )
+        assert code == 2
+        assert "checkpoint" in err
+
     def test_replicated_run(self, capsys):
         code, out, _ = run_cli(
             capsys, "--periods", "6", "run", "--seeds", "2", "--max-units", "5"
