@@ -7,8 +7,9 @@ than the paper's: more periods, replicated seeds) serially and under
 serial row) in ``benchmarks/out/BENCH_parallel_scaling.json``.
 
 The estimator-cache effect is measured separately: a cold profile+fit
-versus a warm disk load — the cache is what keeps workers from
-re-profiling (the fit costs ~50x one experiment run).
+versus a warm disk load — the disk cache is what keeps a later
+invocation from re-profiling (the fit costs ~50x one experiment run);
+within one campaign the parent fits once and every job carries the fit.
 
 Interpretation: the speedup ceiling is ``min(n_jobs, cpu_count)``; on a
 single-CPU container the parallel widths measure pool overhead only,

@@ -3,8 +3,8 @@
 The CONC-* passes need one question answered: *can this function run
 inside a process-pool worker?*  :class:`CallGraph` approximates the
 answer with a reachability query from the contract's declared entry
-points (``repro.parallel.jobs.run_job``, ``run_shard``) over edges
-built from three bounded resolution strategies:
+point (``repro.parallel.jobs.run_job``) over edges built from three
+bounded resolution strategies:
 
 1. **Qualified calls/references** — ``run_job(spec)``,
    ``jobs.run_job``, ``from x import f; f()`` resolve through the

@@ -1,9 +1,9 @@
 """Concurrency-safety lint: the process-pool worker surface (CONC-*).
 
-Campaign sharding and the parallel job pool re-run the same code inside
-worker processes, and the repo's core guarantee — sharded == serial,
-byte for byte — holds only if worker-reachable code neither accumulates
-cross-run state nor draws from undisciplined RNG streams.  These rules
+The parallel job pool re-runs the same code inside worker processes,
+and the repo's core guarantee — pooled == serial, byte for byte —
+holds only if worker-reachable code neither accumulates cross-run
+state nor draws from undisciplined RNG streams.  These rules
 machine-check that contract over the bounded call graph rooted at the
 declared entry points (``[concurrency] entry_points`` in
 ``layering.toml``):
@@ -26,7 +26,7 @@ declared entry points (``[concurrency] entry_points`` in
 ``CONC-PAYLOAD``
     An engine/sink/telemetry object (``[concurrency] unpicklable``)
     passed into the pool surface (``JobSpec``, ``map_jobs``,
-    ``run_sharded``, ``submit``) — those objects either fail to pickle
+    ``submit``) — those objects either fail to pickle
     or smuggle a parent-process view across the process boundary.
 """
 
@@ -45,7 +45,7 @@ RULES = (
         "CONC-GLOBAL-MUT",
         "worker-reachable code must not mutate module-level state",
         "a worker's module state diverges from the parent's; with pool "
-        "reuse it leaks between runs, breaking sharded == serial",
+        "reuse it leaks between runs, breaking pooled == serial",
     ),
     Rule(
         "CONC-RNG-FACTORY",
@@ -76,7 +76,7 @@ MUTATING_METHODS = frozenset({
 
 #: Call names whose arguments become process-pool payloads (kept in
 #: sync with the PCK-* pass).
-POOL_SURFACE = frozenset({"JobSpec", "map_jobs", "run_sharded", "submit"})
+POOL_SURFACE = frozenset({"JobSpec", "map_jobs", "submit"})
 
 #: Names bound by generator construction (CONC-RNG-FACTORY).
 _RNG_CONSTRUCTORS = ("numpy.random.default_rng", "RngRegistry")

@@ -1,6 +1,6 @@
 """Array-determinism lint: order and dtype discipline (VEC-*).
 
-The batched forecast kernels and sharded campaigns are bit-identical
+The batched forecast kernels and pooled campaigns are bit-identical
 to their scalar and serial counterparts only because every NumPy
 operation that *orders* or *accumulates* floats is pinned: stable sorts, total-order
 keys, float64 end to end, and reductions over deterministically-ordered
@@ -16,7 +16,7 @@ the declared kernel modules (``[vectorization] kernel_modules`` in
 ``VEC-SORT-KEY``
     ``sorted(...)``/``.sort(...)`` whose ``key`` lambda returns a
     single value rather than a tuple.  Equal keys fall back to the
-    *input* order, which is shard- or insertion-dependent; a tuple with
+    *input* order, which is dispatch- or insertion-dependent; a tuple with
     an explicit tiebreaker (``(t, seq)``) pins a total order.
 ``VEC-FLOAT-REDUCE``
     ``sum``/``np.sum``/``np.mean``/``math.fsum`` over an unordered
@@ -49,7 +49,7 @@ RULES = (
         "VEC-SORT-KEY",
         "sort keys in kernel modules must be total-order tuples",
         "a scalar float key leaves ties to the input order, which is "
-        "shard- and insertion-dependent",
+        "dispatch- and insertion-dependent",
     ),
     Rule(
         "VEC-FLOAT-REDUCE",

@@ -119,7 +119,7 @@ from repro.experiments.runner import (
 from repro.experiments.timeline import Timeline, extract_timeline, render_timeline
 from repro.experiments.validation import validate_reproduction
 from repro.experiments.journal import CampaignJournal
-from repro.parallel import JobFailure, ShardPlan, plan_shards, run_sharded
+from repro.parallel import JobFailure
 from repro.recovery import (
     Checkpointer,
     FailoverCoordinator,
@@ -265,7 +265,6 @@ __all__ = [
     "RunHistoryIndex",
     "RunProfiler",
     "SCHEMA_VERSION",
-    "ShardPlan",
     "SimSnapshot",
     "SloEngine",
     "SloReport",
@@ -303,7 +302,6 @@ __all__ = [
     "paper_comm_model",
     "paper_latency_model",
     "plan_capacity",
-    "plan_shards",
     "profile_buffer_delay",
     "profile_subtask",
     "register_policy",
@@ -318,7 +316,6 @@ __all__ = [
     "run_campaign",
     "run_chaos_experiment",
     "run_experiment",
-    "run_sharded",
     "scenario_names",
     "shut_down_a_replica",
     "sweep_workloads",

@@ -8,7 +8,7 @@ Commands
     Regenerate a paper figure's series (optionally reduced ``--units``).
 ``run``
     One experiment: ``--policy``, ``--pattern``, ``--max-units`` etc.,
-    with optional ``--tasks N`` (multi-task) and ``--seeds N``
+    with optional ``--tasks N`` (multi-task) or ``--seeds N``
     (replication statistics) and ``--csv/--json`` export.
     ``--telemetry-dir DIR`` streams a JSONL trace and writes metrics
     snapshots (JSON + Prometheus text) into ``DIR``.
@@ -53,10 +53,11 @@ Commands
     layering, pickling rules); exit code 1 on violations.
 
 Global options (``--periods``, ``--seed``, ``--nodes``,
-``--network-mode``, ``--jobs``, ``--cache-dir``, ``--shards``)
-precede the subcommand.  ``--shards N`` splits a campaign round-robin
-across ``N`` worker processes.  Every command is importable and
-testable via :func:`main(argv)`.
+``--network-mode``, ``--jobs``, ``--cache-dir``) precede the
+subcommand.  ``--jobs N`` fans the runs of a sweep, replication or
+campaign out over ``N`` worker processes with byte-identical output;
+``--cache-dir`` keeps estimator fits across invocations.  Every command
+is importable and testable via :func:`main(argv)`.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ import argparse
 import sys
 from typing import Sequence
 
-from repro.errors import ReproError
+from repro.errors import ConfigurationError, ReproError
 from repro.experiments.config import (
     DEFAULT_SWEEP_UNITS,
     BaselineConfig,
@@ -101,12 +102,6 @@ def _jobs_from_args(args: argparse.Namespace) -> int:
 
 def _cache_dir_from_args(args: argparse.Namespace):
     return getattr(args, "cache_dir", None)
-
-
-def _shards_from_args(args: argparse.Namespace) -> int:
-    shards = getattr(args, "shards", None)
-    # 0 = no sharding (dispatch one job per worker task as before).
-    return 0 if shards is None else shards
 
 
 def _slo_rules_from_args(args: argparse.Namespace):
@@ -230,18 +225,27 @@ def cmd_run(args: argparse.Namespace) -> int:
         baseline=baseline,
         checkpoint=args.checkpoint,
     )
+    telemetry_dir = getattr(args, "telemetry_dir", None)
+    # Every refusal comes before the estimator fit (seconds on a cold
+    # cache).
+    if args.tasks > 1 and args.seeds > 1:
+        raise ConfigurationError(
+            "--tasks and --seeds cannot be combined: --tasks runs one "
+            "multi-task experiment, --seeds replicates a single-task run"
+        )
+    if telemetry_dir and (args.tasks > 1 or args.seeds > 1):
+        raise ConfigurationError(
+            "--telemetry-dir instruments a single run; "
+            "drop --tasks/--seeds or run them separately"
+        )
+    if args.tasks > 1:
+        from repro.experiments.multitask import check_multi_task_config
+
+        check_multi_task_config(config)
     estimator = get_estimator(baseline, cache_dir=_cache_dir_from_args(args))
 
     hub = None
-    telemetry_dir = getattr(args, "telemetry_dir", None)
     if telemetry_dir:
-        if args.tasks > 1 or args.seeds > 1:
-            from repro.errors import ConfigurationError
-
-            raise ConfigurationError(
-                "--telemetry-dir instruments a single run; "
-                "drop --tasks/--seeds or run them separately"
-            )
         from pathlib import Path
 
         from repro.telemetry import JsonlTraceSink, TelemetryHub
@@ -606,7 +610,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         n_jobs=_jobs_from_args(args),
         cache_dir=_cache_dir_from_args(args),
         progress=None if args.quiet else print,
-        shards=_shards_from_args(args),
         journal=args.journal,
         resume=args.resume,
         retries=args.retries,
@@ -850,13 +853,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--cache-dir",
         help="directory for the disk-backed estimator cache "
-        "(fits are reused across processes and invocations)",
-    )
-    parser.add_argument(
-        "--shards", type=int,
-        help="split campaign runs round-robin across this many worker "
-        "processes, each running its slice serially (0 = one job per "
-        "worker task; overrides --jobs for dispatch)",
+        "(fits are reused across invocations)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

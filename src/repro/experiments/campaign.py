@@ -151,8 +151,8 @@ class CampaignRow:
 
         Everything left is a pure function of the run's configuration
         and seed — wall clock, peak RSS and worker PID vary between
-        hosts and dispatch modes, so they are excluded.  Serializing
-        these dicts is how the sharded-vs-serial equality gate compares
+        hosts and worker counts, so they are excluded.  Serializing
+        these dicts is how the pooled-vs-serial equality gate compares
         whole campaigns byte for byte.
         """
         row = self.as_dict()
@@ -195,9 +195,9 @@ class CampaignResult:
     def deterministic_json(self) -> str:
         """Canonical JSON of every row's deterministic content.
 
-        Byte-identical across serial, pooled and sharded execution of
-        the same spec and seeds (the sharded-campaign equality gate
-        compares exactly this string).
+        Byte-identical across serial and pooled execution of the same
+        spec and seeds (the pooled-campaign equality gate compares
+        exactly this string).
         """
         return json.dumps(
             [row.deterministic_dict() for row in self.rows],
@@ -315,20 +315,22 @@ class CampaignResult:
 
 def _row_from_job(job_result) -> CampaignRow:
     """Fold one :class:`~repro.parallel.jobs.JobResult` into a row."""
+    config = job_result.spec.config
+    result = job_result.result
     return CampaignRow(
-        policy=job_result.spec.config.policy,
-        pattern=job_result.spec.config.pattern,
-        max_workload_units=job_result.spec.config.max_workload_units,
+        policy=config.policy,
+        pattern=config.pattern,
+        max_workload_units=config.max_workload_units,
         seed_offset=job_result.spec.seed_offset,
-        metrics=job_result.metrics,
+        metrics=result.metrics,
         wall_clock_s=job_result.wall_clock_s,
         max_rss_kb=job_result.max_rss_kb,
         pid=job_result.pid,
-        chaos_scenario=job_result.spec.config.chaos_scenario,
-        hardened=job_result.spec.config.hardened,
-        decision_digest=job_result.decision_digest,
+        chaos_scenario=config.chaos_scenario,
+        hardened=config.hardened,
+        decision_digest=result.decision_digest,
         tag=job_result.spec.tag,
-        slo=job_result.slo,
+        slo=result.slo.as_dict() if result.slo is not None else None,
     )
 
 
@@ -337,23 +339,19 @@ def run_campaign(
     n_jobs: int = 1,
     cache_dir: str | Path | None = None,
     progress: Progress | None = None,
-    shards: int = 0,
     journal: str | Path | None = None,
     resume: bool = False,
     retries: int = 0,
 ) -> CampaignResult:
     """Execute every cell of the grid; results keep enumeration order.
 
-    ``n_jobs=1`` runs in-process (same code path as single experiments);
-    larger values fan out over :func:`repro.parallel.map_jobs` after the
-    parent warms the estimator cache once.  ``progress`` (e.g. ``print``)
-    receives one line per finished run, in completion order.
-
-    ``shards >= 1`` dispatches via :func:`repro.parallel.run_sharded`
-    instead: the grid splits round-robin into that many groups, each
-    executed serially inside one worker process (overrides ``n_jobs``).
-    Deterministic row content is byte-identical either way —
-    :meth:`CampaignResult.deterministic_json` pins it.
+    Every cell goes through :func:`repro.parallel.run_configs_parallel`:
+    the parent fits the estimator once, ``n_jobs=1`` runs in-process and
+    larger values fan out over worker processes.  Deterministic row
+    content is byte-identical whatever ``n_jobs`` is —
+    :meth:`CampaignResult.deterministic_json` pins it.  ``progress``
+    (e.g. ``print``) receives one line per finished run, in completion
+    order.
 
     Crash tolerance (:mod:`repro.experiments.journal`): with ``journal``
     set, every completed cell is durably appended to that JSONL file as
@@ -399,7 +397,8 @@ def run_campaign(
             return
         progress(
             f"[{index + 1:>{len(str(total))}}/{total}] "
-            f"{job_result.spec.tag}: combined={job_result.metrics.combined:.3f} "
+            f"{job_result.spec.tag}: "
+            f"combined={job_result.result.metrics.combined:.3f} "
             f"({job_result.wall_clock_s:.2f} s, {job_result.max_rss_kb} KiB, "
             f"pid {job_result.pid})"
         )
@@ -414,7 +413,6 @@ def run_campaign(
             repetitions=spec.repetitions,
             tags=tags,
             on_result=on_result,
-            shards=shards,
             retries=retries,
         )
         if pending
@@ -455,9 +453,9 @@ def rollup_campaign(result: CampaignResult) -> CampaignRollup:
     """Fold a finished campaign into a :class:`CampaignRollup`.
 
     One rollup entry per row, keyed by the cell tag.  Building the
-    rollup from a sharded and a serial run of the same spec produces
+    rollup from a pooled and a serial run of the same spec produces
     byte-identical :meth:`~CampaignRollup.to_json` output — the rollup
-    half of the sharded-equality gate.
+    half of the pooled-equality gate.
     """
     rollup = CampaignRollup()
     for row in result.rows:

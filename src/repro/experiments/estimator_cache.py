@@ -6,15 +6,13 @@ for the experiment itself — so fits are cached at two levels:
 
 * **in memory**, keyed by the configuration fields that shape the fit
   (noise, bandwidth, overhead, profiling seed, repetitions);
-* **on disk** (optional), as the JSON produced by
-  :mod:`repro.regression.serialization`, so *other processes* — the
-  :mod:`repro.parallel` worker pool in particular — can load a fit by
-  key instead of re-profiling.
+* **on disk** (optional, ``cache_dir``), as the JSON produced by
+  :mod:`repro.regression.serialization`, so a later invocation loads a
+  fit by key instead of re-profiling.
 
-The parallel runner relies on the disk layer for determinism as well as
-speed: the parent fits once, :func:`warm` persists the models, and every
-worker loads the identical coefficients (JSON float round-trips are
-exact), so a parallel campaign is bit-identical to a serial one.
+The parallel fan-out does not need the disk layer: the parent fits once
+and every :class:`~repro.parallel.jobs.JobSpec` carries the fitted
+estimator to its worker.
 """
 
 from __future__ import annotations
@@ -123,6 +121,8 @@ def get_estimator(
             _MEMORY_CACHE[key] = estimator  # repro: noqa CONC-GLOBAL-MUT
             STATS.disk_hits += 1  # repro: noqa CONC-GLOBAL-MUT
             return estimator
+        # Reject an unusable cache dir before paying for the fit.
+        _ensure_parent(path)
 
     estimator = build_estimator(
         task,
@@ -133,38 +133,6 @@ def get_estimator(
     )
     STATS.fits += 1  # repro: noqa CONC-GLOBAL-MUT
     if path is not None:
-        _ensure_parent(path)
         save_models(path, estimator.latency_models, estimator.comm_model)
     _MEMORY_CACHE[key] = estimator  # repro: noqa CONC-GLOBAL-MUT
     return estimator
-
-
-def warm(
-    baseline: BaselineConfig,
-    cache_dir: str | Path,
-    estimator: TimingEstimator | None = None,
-    repetitions: int = 2,
-) -> Path:
-    """Ensure the disk cache holds a fit for ``baseline``; return its path.
-
-    With ``estimator`` given, *those* models are persisted under the
-    baseline's key (so workers reuse a caller-supplied fit exactly);
-    otherwise a fit is obtained via :func:`get_estimator` (which may
-    itself hit either cache layer).  Called by the parallel fan-out
-    sites before dispatching workers.
-    """
-    key = cache_key(baseline, repetitions)
-    path = cache_path(cache_dir, key)
-    if estimator is not None:
-        # Overwrite unconditionally: workers must load exactly these
-        # models even if an older fit sits under the same key.
-        _MEMORY_CACHE[key] = estimator
-        _ensure_parent(path)
-        save_models(path, estimator.latency_models, estimator.comm_model)
-        return path
-    fitted = get_estimator(baseline, cache_dir=cache_dir, repetitions=repetitions)
-    if not path.exists():
-        # A memory hit skips the disk write; workers still need the file.
-        _ensure_parent(path)
-        save_models(path, fitted.latency_models, fitted.comm_model)
-    return path

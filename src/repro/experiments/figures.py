@@ -22,11 +22,6 @@ from repro.experiments.config import (
 )
 from repro.experiments.metrics import ExperimentMetrics
 from repro.experiments.report import format_series_table
-from repro.experiments.estimator_cache import get_estimator
-from repro.experiments.runner import (
-    run_experiment,
-    sweep_workloads,
-)
 from repro.regression.estimator import TimingEstimator
 from repro.workloads.patterns import make_pattern
 
@@ -65,6 +60,19 @@ def _metric_value(metrics: ExperimentMetrics, key: str) -> float:
     return metrics.as_dict()[key]
 
 
+def _run_metrics(
+    configs: list[ExperimentConfig],
+    estimator: TimingEstimator | None,
+    n_jobs: int = 1,
+) -> list[ExperimentMetrics]:
+    """Every config's metrics, in order, through the one fan-out path."""
+    # Imported lazily: repro.parallel imports the experiment stack.
+    from repro.parallel import run_configs_parallel
+
+    job_results = run_configs_parallel(configs, n_jobs=n_jobs, estimator=estimator)
+    return [job.result.metrics for job in job_results]
+
+
 def _pattern_sweep(
     pattern: str,
     units: tuple[float, ...],
@@ -72,16 +80,21 @@ def _pattern_sweep(
     estimator: TimingEstimator | None,
     n_jobs: int = 1,
 ) -> dict[str, list[ExperimentMetrics]]:
-    if estimator is None and n_jobs == 1:
-        estimator = get_estimator(baseline)
-    out: dict[str, list[ExperimentMetrics]] = {}
-    for policy in POLICIES:
-        results = sweep_workloads(
-            policy, pattern, units, baseline=baseline, estimator=estimator,
-            n_jobs=n_jobs,
+    configs = [
+        ExperimentConfig(
+            policy=policy,
+            pattern=pattern,
+            max_workload_units=max_units,
+            baseline=baseline,
         )
-        out[policy] = [r.metrics for r in results]
-    return out
+        for policy in POLICIES
+        for max_units in units
+    ]
+    metrics = _run_metrics(configs, estimator, n_jobs)
+    return {
+        policy: metrics[i * len(units) : (i + 1) * len(units)]
+        for i, policy in enumerate(POLICIES)
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +232,29 @@ def extended_threshold_sweep(
     )
 
 
+def _ablation(
+    figure_id: str,
+    title: str,
+    x_label: str,
+    x_values: list[float],
+    configs: list[ExperimentConfig],
+    estimator: TimingEstimator | None,
+) -> FigureData:
+    """One ablation figure: missed ratio, replica ratio and combined metric."""
+    data = FigureData(
+        figure_id=figure_id,
+        title=title,
+        x_label=x_label,
+        x_values=x_values,
+        series={"missed": [], "replica_ratio": [], "combined": []},
+    )
+    for metrics in _run_metrics(configs, estimator):
+        data.series["missed"].append(metrics.missed_deadline_ratio)
+        data.series["replica_ratio"].append(metrics.replica_ratio)
+        data.series["combined"].append(metrics.combined)
+    return data
+
+
 def ablation_slack_fraction(
     fractions: tuple[float, ...] = (0.05, 0.1, 0.2, 0.3, 0.4),
     pattern: str = "triangular",
@@ -228,28 +264,24 @@ def ablation_slack_fraction(
 ) -> FigureData:
     """E-X2: sensitivity of the predictive algorithm to ``sl`` (paper: 0.2)."""
     baseline = baseline if baseline is not None else BaselineConfig()
-    if estimator is None:
-        estimator = get_estimator(baseline)
-    data = FigureData(
-        figure_id="E-X2",
-        title=f"Slack-fraction ablation (predictive, {pattern}, "
-        f"max={max_workload_units:g} units)",
-        x_label="slack fraction",
-        x_values=list(fractions),
-        series={"missed": [], "replica_ratio": [], "combined": []},
-    )
-    for sl in fractions:
-        config = ExperimentConfig(
+    configs = [
+        ExperimentConfig(
             policy="predictive",
             pattern=pattern,
             max_workload_units=max_workload_units,
             baseline=baseline.with_overrides(slack_fraction=sl),
         )
-        metrics = run_experiment(config, estimator=estimator).metrics
-        data.series["missed"].append(metrics.missed_deadline_ratio)
-        data.series["replica_ratio"].append(metrics.replica_ratio)
-        data.series["combined"].append(metrics.combined)
-    return data
+        for sl in fractions
+    ]
+    return _ablation(
+        "E-X2",
+        f"Slack-fraction ablation (predictive, {pattern}, "
+        f"max={max_workload_units:g} units)",
+        "slack fraction",
+        list(fractions),
+        configs,
+        estimator,
+    )
 
 
 def ablation_utilization_threshold(
@@ -261,28 +293,24 @@ def ablation_utilization_threshold(
 ) -> FigureData:
     """E-X3: sensitivity of the non-predictive baseline to ``UT``."""
     baseline = baseline if baseline is not None else BaselineConfig()
-    if estimator is None:
-        estimator = get_estimator(baseline)
-    data = FigureData(
-        figure_id="E-X3",
-        title=f"Utilization-threshold ablation (non-predictive, {pattern}, "
-        f"max={max_workload_units:g} units)",
-        x_label="UT",
-        x_values=list(thresholds),
-        series={"missed": [], "replica_ratio": [], "combined": []},
-    )
-    for ut in thresholds:
-        config = ExperimentConfig(
+    configs = [
+        ExperimentConfig(
             policy="nonpredictive",
             pattern=pattern,
             max_workload_units=max_workload_units,
             baseline=baseline.with_overrides(utilization_threshold=ut),
         )
-        metrics = run_experiment(config, estimator=estimator).metrics
-        data.series["missed"].append(metrics.missed_deadline_ratio)
-        data.series["replica_ratio"].append(metrics.replica_ratio)
-        data.series["combined"].append(metrics.combined)
-    return data
+        for ut in thresholds
+    ]
+    return _ablation(
+        "E-X3",
+        f"Utilization-threshold ablation (non-predictive, {pattern}, "
+        f"max={max_workload_units:g} units)",
+        "UT",
+        list(thresholds),
+        configs,
+        estimator,
+    )
 
 
 def ablation_deadline_strategy(
@@ -294,26 +322,23 @@ def ablation_deadline_strategy(
 ) -> FigureData:
     """E-X4: the deadline-decomposition ablation (predictive policy)."""
     baseline = baseline if baseline is not None else BaselineConfig()
-    if estimator is None:
-        estimator = get_estimator(baseline)
-    data = FigureData(
-        figure_id="E-X4",
-        title=f"Deadline-strategy ablation (predictive, {pattern}, "
-        f"max={max_workload_units:g} units)",
-        x_label="strategy index",
-        x_values=list(range(len(strategies))),
-        series={"missed": [], "replica_ratio": [], "combined": []},
-    )
-    data.strategy_names = list(strategies)  # type: ignore[attr-defined]
-    for strategy in strategies:
-        config = ExperimentConfig(
+    configs = [
+        ExperimentConfig(
             policy="predictive",
             pattern=pattern,
             max_workload_units=max_workload_units,
             baseline=baseline.with_overrides(deadline_strategy=strategy),
         )
-        metrics = run_experiment(config, estimator=estimator).metrics
-        data.series["missed"].append(metrics.missed_deadline_ratio)
-        data.series["replica_ratio"].append(metrics.replica_ratio)
-        data.series["combined"].append(metrics.combined)
+        for strategy in strategies
+    ]
+    data = _ablation(
+        "E-X4",
+        f"Deadline-strategy ablation (predictive, {pattern}, "
+        f"max={max_workload_units:g} units)",
+        "strategy index",
+        list(range(len(strategies))),
+        configs,
+        estimator,
+    )
+    data.strategy_names = list(strategies)  # type: ignore[attr-defined]
     return data

@@ -14,7 +14,7 @@ test_history_index.py`` pins that equivalence.
 The index also maintains a running **decision digest** — a SHA-256 over
 the canonical decision sequence (time, policy, outcomes, shutdowns,
 recoveries per step) — which is how the golden-digest pins and the
-sharded-campaign equivalence gates compare runs without shipping whole
+pooled-campaign equivalence gates compare runs without shipping whole
 histories across processes.
 """
 

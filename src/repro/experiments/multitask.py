@@ -84,6 +84,26 @@ def _ledgered_workload(pattern, ledger: WorkloadLedger, task_name: str):
     return workload
 
 
+def check_multi_task_config(config: ExperimentConfig) -> None:
+    """Reject the fields that arm a single run (raises ConfigurationError).
+
+    Chaos, SLO rules, checkpoints and failover instrument one task's
+    run, so :func:`run_multi_task_experiment` refuses them; callers can
+    check a config before paying for the estimator fit.
+    """
+    # Unset means None (False for failover).
+    armed = [
+        name
+        for name in ("chaos_scenario", "slo", "checkpoint", "failover")
+        if getattr(config, name) not in (None, False)
+    ]
+    if armed:
+        raise ConfigurationError(
+            f"a multi-task run does not support {', '.join(armed)}: "
+            "they arm a single run; drop them or use run_experiment"
+        )
+
+
 def run_multi_task_experiment(
     config: ExperimentConfig,
     n_tasks: int = 2,
@@ -104,17 +124,7 @@ def run_multi_task_experiment(
     """
     if n_tasks < 1:
         raise ConfigurationError(f"need at least one task, got {n_tasks}")
-    # Unset means None (False for failover).
-    armed = [
-        name
-        for name in ("chaos_scenario", "slo", "checkpoint", "failover")
-        if getattr(config, name) not in (None, False)
-    ]
-    if armed:
-        raise ConfigurationError(
-            f"a multi-task run does not support {', '.join(armed)}: "
-            "they arm a single run; drop them or use run_experiment"
-        )
+    check_multi_task_config(config)
     baseline = config.baseline
     if estimator is None:
         estimator = get_estimator(baseline)

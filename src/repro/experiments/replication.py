@@ -20,7 +20,6 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.metrics import ExperimentMetrics
-from repro.experiments.runner import run_experiment
 from repro.regression.estimator import TimingEstimator
 
 
@@ -128,36 +127,26 @@ def replicate_experiment(
     offsets) and nothing else; the fitted estimator is shared, matching
     the paper's methodology (one profiled model, many runs).
 
-    With ``n_jobs > 1`` the seeds run across a process pool
-    (:mod:`repro.parallel`): offsets are derived per job before
-    dispatch and runs are reassembled in seed order, so the result is
-    bit-identical to a serial replication.
+    The seeds go through :func:`repro.parallel.run_configs_parallel`
+    (``n_jobs=1`` runs in-process): offsets are derived per job before
+    dispatch and runs come back in seed order, so the result is
+    bit-identical whatever ``n_jobs`` is.
     """
+    # Imported lazily: repro.parallel imports the experiment stack.
+    from repro.parallel import run_configs_parallel
+
     if n_seeds < 1:
         raise ConfigurationError(f"need at least one seed, got {n_seeds}")
     if not 0.0 < confidence < 1.0:
         raise ConfigurationError(f"confidence must be in (0, 1), got {confidence}")
-    if n_jobs != 1:
-        # Imported lazily: repro.parallel imports the experiment stack.
-        from repro.parallel import run_configs_parallel
-
-        job_results = run_configs_parallel(
-            [config] * n_seeds,
-            n_jobs=n_jobs,
-            cache_dir=cache_dir,
-            estimator=estimator,
-            seed_offsets=list(range(n_seeds)),
-        )
-        runs = [jr.metrics for jr in job_results]
-    else:
-        if estimator is None:
-            from repro.experiments.estimator_cache import get_estimator
-
-            estimator = get_estimator(config.baseline, cache_dir=cache_dir)
-        runs = [
-            run_experiment(config, estimator=estimator, seed_offset=offset).metrics
-            for offset in range(n_seeds)
-        ]
+    job_results = run_configs_parallel(
+        [config] * n_seeds,
+        n_jobs=n_jobs,
+        cache_dir=cache_dir,
+        estimator=estimator,
+        seed_offsets=list(range(n_seeds)),
+    )
+    runs = [job.result.metrics for job in job_results]
     series: dict[str, list[float]] = {}
     for metrics in runs:
         for key, value in metrics.as_dict().items():

@@ -18,8 +18,8 @@ halves around a restored world.  This is the one run assembly:
 its machine and per-task managers with the same private helpers.
 
 Profiling the regression models is the expensive step, so estimators
-are cached: in-process by configuration key, and optionally on disk via
-:mod:`repro.regression.serialization`.
+are cached (:mod:`repro.experiments.estimator_cache`), and a sweep
+fits once and shares the fit across every point.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ class ExperimentResult:
     #: SHA-256 over the run's canonical decision sequence (see
     #: :func:`repro.experiments.history_index.decision_event_key`); two
     #: runs of the same config match byte for byte iff their managers
-    #: took identical decisions — the engine/sharding equivalence gates
+    #: took identical decisions — the serial/pooled equivalence gates
     #: compare these instead of whole histories.
     decision_digest: str = ""
 
@@ -452,11 +452,14 @@ def sweep_workloads(
 ) -> list[ExperimentResult]:
     """Run one experiment per maximum-workload point (a figure's x-axis).
 
-    With ``n_jobs > 1`` the points are fanned out over a process pool
-    (:mod:`repro.parallel`); the parent fits/warms the estimator cache
-    once, workers load the identical models by key, and the results come
-    back in sweep order — bit-identical to a serial run.
+    The points go through :func:`repro.parallel.run_configs_parallel`:
+    one estimator fit (or ``estimator``) shared by every point,
+    ``n_jobs`` worker processes (``1`` runs in-process), and results in
+    sweep order — bit-identical whatever ``n_jobs`` is.
     """
+    # Imported lazily: repro.parallel imports this module.
+    from repro.parallel import run_configs_parallel
+
     baseline = baseline if baseline is not None else BaselineConfig()
     configs = [
         ExperimentConfig(
@@ -467,22 +470,7 @@ def sweep_workloads(
         )
         for max_units in units
     ]
-    if n_jobs != 1:
-        # Imported lazily: repro.parallel imports this module.
-        from repro.parallel import run_configs_parallel
-
-        job_results = run_configs_parallel(
-            configs, n_jobs=n_jobs, cache_dir=cache_dir, estimator=estimator
-        )
-        return [
-            ExperimentResult(
-                config=jr.spec.config,
-                metrics=jr.metrics,
-                final_placement=jr.final_placement,
-                decision_digest=jr.decision_digest,
-            )
-            for jr in job_results
-        ]
-    if estimator is None:
-        estimator = estimator_cache.get_estimator(baseline, cache_dir=cache_dir)
-    return [run_experiment(config, estimator=estimator) for config in configs]
+    job_results = run_configs_parallel(
+        configs, n_jobs=n_jobs, cache_dir=cache_dir, estimator=estimator
+    )
+    return [job.result for job in job_results]

@@ -9,11 +9,9 @@ parallel across experiment runs.  This package fans runs out over a
   :func:`map_jobs` core (``n_jobs=1`` is the exact in-process path);
 * :mod:`repro.parallel.jobs` — picklable :class:`JobSpec`/:class:`JobResult`
   descriptors and the :func:`run_job` worker entry point;
-* :mod:`repro.parallel.dispatch` — estimator-cache warming plus
-  dispatch for sweeps, replications and campaigns;
-* :mod:`repro.parallel.shards` — round-robin sharding for large
-  campaigns of short runs (few processes, many runs each, merged back
-  into input order).
+* :mod:`repro.parallel.dispatch` — :func:`run_configs_parallel`, the
+  one fan-out path of sweeps, replications, figures and campaigns (the
+  parent fits, every job carries the fitted estimator).
 
 See DESIGN.md ("Parallel execution subsystem") for the seed-derivation
 and shared-estimator rationale.
@@ -22,18 +20,13 @@ and shared-estimator rationale.
 from repro.parallel.dispatch import run_configs_parallel
 from repro.parallel.jobs import JobResult, JobSpec, run_job
 from repro.parallel.pool import JobFailure, effective_n_jobs, map_jobs
-from repro.parallel.shards import ShardPlan, plan_shards, run_shard, run_sharded
 
 __all__ = [
     "JobFailure",
     "JobResult",
     "JobSpec",
-    "ShardPlan",
     "effective_n_jobs",
     "map_jobs",
-    "plan_shards",
     "run_configs_parallel",
     "run_job",
-    "run_shard",
-    "run_sharded",
 ]

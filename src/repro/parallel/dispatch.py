@@ -1,43 +1,24 @@
-"""Experiment-aware fan-out: warm the estimator cache, then map jobs.
+"""Experiment-aware fan-out: fit once in the parent, then map jobs.
 
-:func:`run_configs_parallel` is the shared engine behind
-``sweep_workloads(n_jobs=...)``, ``replicate_experiment(n_jobs=...)``
-and :mod:`repro.experiments.campaign`: it fits (or reuses) one
-estimator per distinct baseline in the parent, persists the models to a
-disk cache, and dispatches :class:`~repro.parallel.jobs.JobSpec`\\ s to
-the pool so workers only ever *load* fits.
+:func:`run_configs_parallel` is the one way to run many experiments —
+``sweep_workloads``, ``replicate_experiment``, the figure sweeps and
+:mod:`repro.experiments.campaign` all go through it, at every
+``n_jobs``: it fits (or reuses) one estimator per distinct baseline in
+the parent and hands each :class:`~repro.parallel.jobs.JobSpec` those
+fitted models, so workers never fit.
 """
 
 from __future__ import annotations
 
-import contextlib
-import tempfile
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from repro.errors import ConfigurationError
 from repro.experiments import estimator_cache
 from repro.experiments.config import ExperimentConfig
 from repro.parallel.jobs import JobResult, JobSpec, run_job
-from repro.parallel.pool import OnResult, map_jobs
+from repro.parallel.pool import JobFailure, OnResult, map_jobs
 from repro.regression.estimator import TimingEstimator
-
-
-@contextlib.contextmanager
-def _cache_dir(cache_dir: str | Path | None) -> Iterator[Path]:
-    """The given cache directory, or a temporary one torn down after use."""
-    if cache_dir is not None:
-        path = Path(cache_dir)
-        try:
-            path.mkdir(parents=True, exist_ok=True)
-        except (FileExistsError, NotADirectoryError) as exc:
-            raise ConfigurationError(
-                f"cache dir {str(cache_dir)!r} is not a usable directory"
-            ) from exc
-        yield path
-        return
-    with tempfile.TemporaryDirectory(prefix="repro-estimators-") as tmp:
-        yield Path(tmp)
 
 
 def run_configs_parallel(
@@ -49,28 +30,21 @@ def run_configs_parallel(
     repetitions: int = 2,
     tags: Sequence[str] | None = None,
     on_result: OnResult | None = None,
-    shards: int = 0,
     retries: int = 0,
-) -> list[JobResult]:
+) -> list[JobResult | JobFailure]:
     """Run every config (paired with its seed offset) across the pool.
 
-    The parent warms the estimator cache once per distinct baseline —
-    with ``estimator`` given, those exact models are persisted for every
-    baseline, mirroring the serial convention that an explicit estimator
-    is shared across a whole sweep.  Results return in config order.
-
-    ``shards >= 1`` switches from one-job-per-worker-task dispatch to
-    :func:`repro.parallel.shards.run_sharded`: the job list splits
-    round-robin into that many groups, each running serially inside one
-    worker process — cheaper per run for large campaigns of short runs,
-    and still byte-identical to serial (``shards`` overrides
-    ``n_jobs``; the seed of every job is derived before dispatch).
+    The parent calls :func:`~repro.experiments.estimator_cache.get_estimator`
+    once per distinct baseline key (``cache_dir`` persists those fits
+    across invocations); with ``estimator`` given, every job uses those
+    exact models instead — an explicit estimator is shared across a
+    whole sweep.  ``n_jobs=1`` runs in-process.  Results return in
+    config order.
 
     ``retries > 0`` arms :func:`~repro.parallel.pool.map_jobs`'s
     crash-tolerant mode: died-worker jobs are resubmitted boundedly and
     unrecoverable slots return as
-    :class:`~repro.parallel.pool.JobFailure` records (not supported
-    together with ``shards``).
+    :class:`~repro.parallel.pool.JobFailure` records.
     """
     configs = list(configs)
     if seed_offsets is None:
@@ -81,39 +55,25 @@ def run_configs_parallel(
         )
     if tags is not None and len(tags) != len(configs):
         raise ConfigurationError(f"{len(configs)} configs but {len(tags)} tags")
-    with _cache_dir(cache_dir) as cdir:
-        seen = set()
-        for config in configs:
+    fitted: dict[tuple, TimingEstimator] = {}
+    specs = []
+    for i, (config, offset) in enumerate(zip(configs, seed_offsets)):
+        job_estimator = estimator
+        if job_estimator is None:
             key = estimator_cache.cache_key(config.baseline, repetitions)
-            if key in seen:
-                continue
-            seen.add(key)
-            estimator_cache.warm(
-                config.baseline, cdir, estimator=estimator, repetitions=repetitions
-            )
-        specs = [
+            if key not in fitted:
+                fitted[key] = estimator_cache.get_estimator(
+                    config.baseline, cache_dir=cache_dir, repetitions=repetitions
+                )
+            job_estimator = fitted[key]
+        specs.append(
             JobSpec(
                 config=config,
                 seed_offset=int(offset),
-                repetitions=repetitions,
-                cache_dir=str(cdir),
+                estimator=job_estimator,
                 tag="" if tags is None else tags[i],
             )
-            for i, (config, offset) in enumerate(zip(configs, seed_offsets))
-        ]
-        if shards >= 1:
-            if retries > 0:
-                raise ConfigurationError(
-                    "retries are not supported with sharded dispatch; "
-                    "use per-job dispatch (shards=0) for crash tolerance"
-                )
-            from repro.parallel.shards import run_sharded
-
-            return run_sharded(specs, shards, on_result=on_result)
-        return map_jobs(
-            specs,
-            n_jobs=n_jobs,
-            worker=run_job,
-            on_result=on_result,
-            retries=retries,
         )
+    return map_jobs(
+        specs, n_jobs=n_jobs, worker=run_job, on_result=on_result, retries=retries
+    )

@@ -2,7 +2,7 @@
 
 A :class:`JobSpec` names one experiment run — an
 :class:`~repro.experiments.config.ExperimentConfig`, a seed offset, and
-the estimator cache to load fitted models from.  :func:`run_job` is the
+the fitted estimator the run forecasts with.  :func:`run_job` is the
 module-level function executed inside worker processes; it must stay
 importable (no closures) so every start method (fork, spawn,
 forkserver) can reach it.
@@ -13,9 +13,10 @@ A job's RNG state is fully determined by ``config.baseline.seed +
 seed_offset``: the parent derives one offset per job (replication seed
 ``k`` maps to offset ``k``) *before* dispatch, so the random streams a
 job consumes are independent of which worker runs it, in what order.
-Workers never refit regression models — they load the parent-warmed
-disk cache by configuration key — matching the paper's methodology of
-one profiled model reused across every run of a study.
+Workers never fit regression models — the parent fits once and every
+job carries the fitted models (pickle round-trips floats exactly),
+matching the paper's methodology of one profiled model reused across
+every run of a study.
 """
 
 from __future__ import annotations
@@ -25,10 +26,13 @@ import resource
 import sys
 import time
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.estimator_cache import get_estimator
-from repro.experiments.metrics import ExperimentMetrics
+from repro.regression.estimator import TimingEstimator
+
+if TYPE_CHECKING:  # imported lazily at runtime: the runner imports us
+    from repro.experiments.runner import ExperimentResult
 
 
 @dataclass(frozen=True)
@@ -41,42 +45,28 @@ class JobSpec:
         The full experiment descriptor.
     seed_offset:
         Added to ``config.baseline.seed`` (replication index).
-    repetitions:
-        Profiling repetitions — part of the estimator cache key.
-    cache_dir:
-        Directory of the parent-warmed estimator cache (``None`` lets
-        the worker fit in-process; only sensible for one-off jobs).
+    estimator:
+        The fitted models the run forecasts with (``None`` lets the run
+        fit or reuse its own; only sensible for one-off jobs).
     tag:
         Free-form label carried through to the result (campaign rows).
     """
 
     config: ExperimentConfig
     seed_offset: int = 0
-    repetitions: int = 2
-    cache_dir: str | None = None
+    estimator: TimingEstimator | None = None
     tag: str = ""
 
 
 @dataclass(frozen=True)
 class JobResult:
-    """A finished job: metrics plus per-job execution accounting.
-
-    ``decision_digest`` is the run's canonical decision-sequence hash
-    (see :mod:`repro.experiments.history_index`); it travels with the
-    result so engine- and sharding-equivalence checks can compare runs
-    without shipping histories between processes.
-    """
+    """A finished job: the run's result plus per-job execution accounting."""
 
     spec: JobSpec
-    metrics: ExperimentMetrics
-    final_placement: dict[int, tuple[str, ...]]
+    result: "ExperimentResult"
     wall_clock_s: float
     max_rss_kb: int
     pid: int
-    decision_digest: str = ""
-    #: ``SloReport.as_dict()`` when the config armed SLO rules — plain
-    #: JSON so the payload stays cheap to pickle across the pool.
-    slo: dict | None = None
 
 
 def _max_rss_kb() -> int:
@@ -94,21 +84,13 @@ def run_job(spec: JobSpec) -> JobResult:
     # Host-side accounting, not simulated time: the JobResult reports how
     # long the worker ran on the wall clock.
     start = time.perf_counter()  # repro: noqa DET-TIME
-    estimator = get_estimator(
-        spec.config.baseline,
-        cache_dir=spec.cache_dir,
-        repetitions=spec.repetitions,
-    )
     result = run_experiment(
-        spec.config, estimator=estimator, seed_offset=spec.seed_offset
+        spec.config, estimator=spec.estimator, seed_offset=spec.seed_offset
     )
     return JobResult(
         spec=spec,
-        metrics=result.metrics,
-        final_placement=result.final_placement,
+        result=result,
         wall_clock_s=time.perf_counter() - start,  # repro: noqa DET-TIME
         max_rss_kb=_max_rss_kb(),
         pid=os.getpid(),
-        decision_digest=result.decision_digest,
-        slo=result.slo.as_dict() if result.slo is not None else None,
     )

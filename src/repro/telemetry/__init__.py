@@ -19,7 +19,7 @@ On top of those, the consumption layer:
 * :mod:`repro.telemetry.profile` — a deterministic run profiler
   attributing wall-time and event counts to instrumented regions.
 * :mod:`repro.telemetry.rollup` — order-independent campaign rollups
-  that merge byte-identically across shards.
+  that merge byte-identically whatever order runs finish in.
 * :mod:`repro.telemetry.report` — the self-contained HTML health
   report behind ``repro report --health``.
 

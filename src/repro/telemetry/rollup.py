@@ -1,8 +1,8 @@
 """Order-independent aggregation of per-run results into one rollup.
 
 A campaign produces one row per grid cell (policy × pattern × workload
-× scenario × engine), and with ``--shards`` those rows arrive in
-whatever order the shards finish.  :class:`CampaignRollup` collects
+× scenario × hardening), and with ``--jobs N`` those rows finish in
+whatever order the workers finish.  :class:`CampaignRollup` collects
 each run's metrics snapshot, SLO verdict, resilience scorecard, and
 forecast-calibration report keyed by the cell's stable *tag*, and
 serializes them with sorted keys and sorted tags so that
@@ -10,9 +10,9 @@ serializes them with sorted keys and sorted tags so that
 * adding runs in any order,
 * merging partial rollups in any order (:meth:`CampaignRollup.merge`),
 
-produce **byte-identical** JSON.  That property is what lets the
-sharded campaign path emit the same rollup as a serial run — pinned by
-the shard-equality tests.
+produce **byte-identical** JSON.  That property is what lets a pooled
+campaign emit the same rollup as a serial run — pinned by the
+pooled-equality tests.
 
 Aggregates (pass counts, worst cells, campaign-wide means) are
 computed *at serialization time* from the sorted rows, never
@@ -74,8 +74,8 @@ class CampaignRollup:
         """Record one run's payloads under its cell ``tag``.
 
         Re-adding the same tag with an identical payload is a no-op
-        (shards may overlap on retries); a *different* payload for an
-        existing tag raises — that would mean two runs disagreed on
+        (merged partial rollups may overlap); a *different* payload for
+        an existing tag raises — that would mean two runs disagreed on
         the same deterministic cell.
         """
         payload = {

@@ -53,7 +53,7 @@ def test_project_passes_actually_ran():
     graph = CallGraph(project)
     reachable = graph.reachable_from(contract.entry_points)
     assert "repro.parallel.jobs.run_job" in reachable
-    assert "repro.parallel.shards.run_shard" in reachable
+    assert "repro.experiments.runner.run_experiment" in reachable
     assert "repro.experiments.estimator_cache.get_estimator" in reachable
     assert len(reachable) > 50
 

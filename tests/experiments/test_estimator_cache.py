@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.bench.app import aaw_task
+from repro.errors import ConfigurationError
 from repro.experiments import estimator_cache
 from repro.experiments.config import BaselineConfig
 from repro.regression.buffer_model import BufferDelayModel
@@ -105,31 +106,13 @@ class TestGetEstimator:
         estimator_cache.get_estimator(baseline, repetitions=2)
         assert counted_builds["n"] == 2
 
-
-class TestWarm:
-    def test_explicit_estimator_persisted_exactly(self, isolated_cache, tmp_path):
-        baseline = BaselineConfig(seed=306)
-        supplied = _stub_estimator(baseline)
-        path = estimator_cache.warm(baseline, tmp_path, estimator=supplied)
-        assert path.exists()
-
-        estimator_cache.clear_memory_cache()
-        loaded = estimator_cache.get_estimator(baseline, cache_dir=tmp_path)
-        for index, model in supplied.latency_models.items():
-            # JSON float round-trips are exact: bit-identical coefficients.
-            assert loaded.latency_models[index].a == model.a
-            assert loaded.latency_models[index].b == model.b
-        assert (
-            loaded.comm_model.buffer.k_ms_per_track
-            == supplied.comm_model.buffer.k_ms_per_track
-        )
-
-    def test_memory_hit_still_writes_disk_file(
+    def test_unusable_cache_dir_rejected_before_the_fit(
         self, isolated_cache, counted_builds, tmp_path
     ):
-        """Warming after an in-memory fit must still produce the file."""
-        baseline = BaselineConfig(seed=307)
-        estimator_cache.get_estimator(baseline)  # memory only, no cache_dir
-        path = estimator_cache.warm(baseline, tmp_path)
-        assert path.exists()
-        assert counted_builds["n"] == 1
+        not_a_dir = tmp_path / "file"
+        not_a_dir.write_text("x")
+        with pytest.raises(ConfigurationError, match="not a usable directory"):
+            estimator_cache.get_estimator(
+                BaselineConfig(seed=306), cache_dir=not_a_dir
+            )
+        assert counted_builds["n"] == 0

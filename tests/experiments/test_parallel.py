@@ -9,10 +9,11 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.experiments import estimator_cache
 from repro.experiments.campaign import CampaignSpec, run_campaign
 from repro.experiments.config import BaselineConfig, ExperimentConfig
 from repro.experiments.replication import replicate_experiment
-from repro.experiments.runner import sweep_workloads
+from repro.experiments.runner import run_experiment, sweep_workloads
 
 
 @pytest.fixture(scope="module")
@@ -117,6 +118,60 @@ def test_parallel_sweep_carries_decision_digests(
     assert [r.decision_digest for r in parallel] == [
         r.decision_digest for r in serial
     ]
+    # The whole result crosses the pool, forecast audit and SLO verdicts
+    # included (a predictive run always carries a calibration report).
+    assert all(r.forecasts is not None for r in serial)
+    assert [r.forecasts for r in parallel] == [r.forecasts for r in serial]
+    assert [r.slo for r in parallel] == [r.slo for r in serial]
+
+
+def test_pooled_runs_leave_the_estimator_cache_alone(
+    small_baseline, fitted_estimator
+):
+    """An explicit estimator serves its runs only, never the shared cache.
+
+    Pooled sweeps and replications used to persist a caller-supplied
+    estimator under the baseline's cache key, so a later plain
+    ``run_experiment`` in the same process forecast with those models.
+    """
+    # A seed no other test fits, so the cache entry starts out clean.
+    baseline = small_baseline.with_overrides(seed=43)
+    config = ExperimentConfig(
+        policy="predictive",
+        pattern="triangular",
+        max_workload_units=15.0,
+        baseline=baseline,
+    )
+    before = estimator_cache.get_estimator(baseline)
+    digest = run_experiment(config).decision_digest
+    sweep_workloads(
+        "predictive", "triangular", (5.0, 15.0), baseline=baseline,
+        estimator=fitted_estimator, n_jobs=2,
+    )
+    replicate_experiment(config, n_seeds=2, estimator=fitted_estimator, n_jobs=2)
+    assert estimator_cache.get_estimator(baseline) is before
+    assert run_experiment(config).decision_digest == digest
+
+
+class TestPooledCampaignEquality:
+    """``n_jobs=2`` campaigns match ``n_jobs=1`` byte for byte (tier-1)."""
+
+    @pytest.fixture(scope="class")
+    def spec(self):
+        return CampaignSpec(
+            policies=("predictive", "nonpredictive"),
+            patterns=("triangular",),
+            units=(15.0,),
+            n_seeds=2,
+            baseline=BaselineConfig(n_periods=8, seed=5),
+        )
+
+    def test_pooled_rows_byte_identical_to_serial(self, spec, tmp_path):
+        serial = run_campaign(spec, n_jobs=1, cache_dir=tmp_path / "c")
+        pooled = run_campaign(spec, n_jobs=2, cache_dir=tmp_path / "c")
+        assert pooled.deterministic_json() == serial.deterministic_json()
+        # The digests are real per-run decision hashes, not placeholders.
+        assert all(len(r.decision_digest) == 64 for r in serial.rows)
 
 
 @pytest.mark.slow

@@ -9,8 +9,9 @@ Three contracts from the observability control plane:
   pass/fail pair CI leans on, so it is pinned here at library level.
 * **bit-identity** — arming the SLO engine is observation only: the
   decision digest and metrics of an armed run equal the unarmed run's.
-* **rollup identity** — a sharded campaign rolls up byte-identically to
-  the same campaign run serially; merge order cannot leak into bytes.
+* **rollup identity** — a pooled (``n_jobs=2``) campaign rolls up
+  byte-identically to the same campaign run serially; completion order
+  cannot leak into bytes.
 """
 
 from __future__ import annotations
@@ -85,8 +86,8 @@ class TestObservationIsFree:
         assert plain.slo is None and armed.slo is not None
 
 
-class TestShardedRollupIdentity:
-    def test_sharded_and_serial_rollups_are_byte_identical(self):
+class TestPooledRollupIdentity:
+    def test_pooled_and_serial_rollups_are_byte_identical(self):
         spec = CampaignSpec(
             policies=("predictive", "nonpredictive"),
             units=(10.0, 20.0),
@@ -94,7 +95,7 @@ class TestShardedRollupIdentity:
             repetitions=1,
             slo=GATE_RULES,
         )
-        serial = rollup_campaign(run_campaign(spec))
-        sharded = rollup_campaign(run_campaign(spec, shards=2))
-        assert sharded.to_json() == serial.to_json()
+        serial = rollup_campaign(run_campaign(spec, n_jobs=1))
+        pooled = rollup_campaign(run_campaign(spec, n_jobs=2))
+        assert pooled.to_json() == serial.to_json()
         assert len(serial) == spec.n_runs

@@ -94,8 +94,9 @@ class TestParallelPath:
 
 
 class TestJobSpecPickling:
-    def test_round_trip(self):
+    def test_round_trip_carries_the_fitted_estimator(self, fitted_estimator):
         from repro.experiments.config import BaselineConfig, ExperimentConfig
+        from repro.parallel import run_job
 
         spec = JobSpec(
             config=ExperimentConfig(
@@ -105,10 +106,16 @@ class TestJobSpecPickling:
                 baseline=BaselineConfig(n_periods=5),
             ),
             seed_offset=3,
-            repetitions=1,
-            cache_dir="/tmp/cache",
+            estimator=fitted_estimator,
             tag="predictive/triangular/u10/s3",
         )
         clone = pickle.loads(pickle.dumps(spec))
-        assert clone == spec
-        assert clone.config.baseline.n_periods == 5
+        assert clone.config == spec.config
+        assert (clone.seed_offset, clone.tag) == (3, spec.tag)
+        assert clone.estimator is not fitted_estimator
+        assert clone.estimator == fitted_estimator
+        # The unpickled models forecast exactly like the originals.
+        assert (
+            run_job(clone).result.decision_digest
+            == run_job(spec).result.decision_digest
+        )

@@ -90,6 +90,40 @@ class TestRunCommand:
         assert code == 2
         assert "checkpoint" in err
 
+    def test_multi_task_run_rejects_seeds(self, capsys):
+        code, out, err = run_cli(
+            capsys, "--periods", "6", "run", "--tasks", "2", "--seeds", "3",
+            "--max-units", "5",
+        )
+        assert code == 2
+        assert "--tasks" in err and "--seeds" in err
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--tasks", "2", "--seeds", "3"),
+            ("--tasks", "2", "--checkpoint", "4"),
+            ("--tasks", "2", "--telemetry-dir", "TEL"),
+            ("--seeds", "2", "--telemetry-dir", "TEL"),
+        ],
+    )
+    def test_rejected_flags_fail_before_the_fit(
+        self, capsys, monkeypatch, tmp_path, flags
+    ):
+        from repro.experiments import estimator_cache
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("get_estimator called before validation")
+
+        monkeypatch.setattr(estimator_cache, "get_estimator", no_fit)
+        argv = [str(tmp_path / "tel") if f == "TEL" else f for f in flags]
+        code, _, err = run_cli(
+            capsys, "--periods", "6", "run", "--max-units", "5", *argv
+        )
+        assert code == 2
+        assert err.startswith("error: ")
+
     def test_replicated_run(self, capsys):
         code, out, _ = run_cli(
             capsys, "--periods", "6", "run", "--seeds", "2", "--max-units", "5"

@@ -151,6 +151,17 @@ class TestDeprecatedNames:
         with pytest.raises(AttributeError):
             repro.as_allocator
 
+    def test_shard_dispatch_left_with_no_alias(self):
+        import repro.parallel
+        from repro.experiments import estimator_cache
+
+        for name in ("ShardPlan", "plan_shards", "run_sharded"):
+            assert name not in repro.api.__all__
+            for module in (repro, repro.api, repro.parallel):
+                assert not hasattr(module, name), (module, name)
+        assert not hasattr(repro.parallel, "run_shard")
+        assert not hasattr(estimator_cache, "warm")
+
     def test_unknown_attribute_still_raises(self):
         with pytest.raises(AttributeError):
             repro.nonsense_name
